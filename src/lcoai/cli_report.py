@@ -12,6 +12,7 @@ import argparse
 import csv
 import decimal
 import io
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from .cost_core import (
     DiscountPolicy,
     Horizon,
     Money,
-    NO_DISCOUNT,
     OpexModel,
     PerInferenceRate,
     VolumeProjection,
@@ -36,6 +36,7 @@ from .cost_core import (
 )
 from .decision import baseline_savings, compare, fine_tune_threshold
 from .errors import (
+    FieldError,
     IncompatibleScenariosError,
     LogParseError,
     ScenarioFileError,
@@ -52,6 +53,9 @@ from .sensitivity import (
 )
 
 SCHEMA_VERSION = 1
+
+# largest grid a sweep command will build
+MAX_SWEEP_POINTS = 1_000_000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,15 +78,7 @@ TABLE_COLUMNS = (
 
 def format_usd(money: Money, decimals: int = 2) -> str:
     """Render with a $ sign, thousands separators, and a fixed decimal count."""
-    if not 0 <= decimals <= 6:
-        raise ValueError("decimals must be between 0 and 6")
-    scaled = round_half_away(Fraction(money.amount, 10 ** (6 - decimals)))
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    if decimals == 0:
-        return f"{sign}${scaled:,}"
-    whole, frac = divmod(scaled, 10**decimals)
-    return f"{sign}${whole:,}.{frac:0{decimals}d}"
+    return _usd_fixed_point(money, decimals, "$", ",")
 
 
 def format_rate(rate: PerInferenceRate) -> str:
@@ -92,15 +88,25 @@ def format_rate(rate: PerInferenceRate) -> str:
 
 def plain_usd(money: Money, decimals: int = 2) -> str:
     """Bare numeric rendering for machine-readable series."""
+    return _usd_fixed_point(money, decimals, "", "")
+
+
+def _usd_fixed_point(money: Money, decimals: int, prefix: str, group: str) -> str:
     if not 0 <= decimals <= 6:
         raise ValueError("decimals must be between 0 and 6")
     scaled = round_half_away(Fraction(money.amount, 10 ** (6 - decimals)))
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    if decimals == 0:
-        return f"{sign}{scaled}"
-    whole, frac = divmod(scaled, 10**decimals)
-    return f"{sign}{whole}.{frac:0{decimals}d}"
+    return _fixed_point(scaled, decimals, prefix, group)
+
+
+def _fixed_point(scaled: int, decimals: int, prefix: str = "", group: str = "") -> str:
+    """Text of ``scaled / 10**decimals`` with exactly ``decimals`` places.
+
+    The sign goes before ``prefix`` ("-$1.50"); ``group`` is the format spec
+    of the whole part ("," for thousands separators).
+    """
+    whole, frac = divmod(abs(scaled), 10**decimals)
+    text = f"{'-' if scaled < 0 else ''}{prefix}{whole:{group}}"
+    return f"{text}.{frac:0{decimals}d}" if decimals else text
 
 
 def fraction_to_decimal_string(value: Fraction) -> str:
@@ -116,22 +122,13 @@ def fraction_to_decimal_string(value: Fraction) -> str:
         exp5 += 1
     if d != 1:
         raise ValueError(f"{value} has no exact decimal representation")
+    # exact at max(exp2, exp5) places, whose last digit is never 0
     digits = max(exp2, exp5)
-    scaled = value.numerator * 10**digits // value.denominator
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    if digits == 0:
-        return f"{sign}{scaled}"
-    whole, frac = divmod(scaled, 10**digits)
-    text = f"{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".")
-    return f"{sign}{text}"
+    return _fixed_point(value.numerator * 10**digits // value.denominator, digits)
 
 
 def _format_percent(ratio: Fraction) -> str:
-    scaled = round_half_away(ratio * 10000)  # two decimals of a percentage
-    sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 100)
-    return f"{sign}{whole}.{frac:02d}%"
+    return _fixed_point(round_half_away(ratio * 10000), 2) + "%"  # two decimals of a percentage
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +239,14 @@ def load_scenarios(path) -> list:
 
 
 def scenarios_from_dict(doc) -> list:
-    if not isinstance(doc, dict):
-        raise ScenarioFileError("$", "top level must be a JSON object")
+    _require_dict(doc, "$")
     version = doc.get("version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioFileError(
             "version", f"unknown version {version!r} (expected {SCHEMA_VERSION})")
-    raw = doc.get("scenarios")
-    if not isinstance(raw, list):
-        raise ScenarioFileError("scenarios", "must be a list")
     scenarios = []
     seen = set()
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_require_list(doc.get("scenarios"), "scenarios")):
         scenario = _scenario_from_dict(entry, f"scenarios[{i}]")
         if scenario.name in seen:
             raise ScenarioFileError(f"scenarios[{i}].name",
@@ -269,117 +262,79 @@ def _require_dict(value, path: str) -> dict:
     return value
 
 
-def _money_value(raw, path: str) -> Money:
-    if raw is None:
-        raise ScenarioFileError(path, "required decimal USD string")
-    if isinstance(raw, float):
-        raise ScenarioFileError(
-            path, "write money as a decimal string, not a JSON float")
-    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
-        raise ScenarioFileError(path, "must be a decimal USD string")
+def _require_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioFileError(path, "must be a list")
+    return value
+
+
+def _require_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioFileError(path, "must be a string")
+    return value
+
+
+def _parsed(obj: dict, key: str, parse, default=None):
+    """``parse(obj[key])``, with a conversion error reported at ``key``."""
+    raw = obj.get(key, default)
     try:
-        return Money.from_usd(raw)
-    except ValueError as exc:
-        raise ScenarioFileError(path, str(exc)) from None
+        if isinstance(raw, float):
+            raise TypeError("write a decimal string, not a JSON float")
+        return parse(raw)
+    except (TypeError, ValueError) as exc:
+        raise FieldError(key, str(exc)) from None
+
+
+def _decimal_fraction(text: str) -> Fraction:
+    """Exact value of finite decimal text such as "0.08" or "1.5"."""
+    if not isinstance(text, str):
+        raise TypeError("must be a decimal string")
+    try:
+        value = Decimal(text)
+    except decimal.InvalidOperation:
+        raise ValueError(f"not a decimal value: {text!r}") from None
+    if not value.is_finite():
+        raise ValueError(f"not a finite decimal value: {text!r}")
+    return Fraction(value)
 
 
 def _scenario_from_dict(entry, path: str) -> CostScenario:
+    """JSON shape checks here; the domain constructors validate every value."""
     entry = _require_dict(entry, path)
-
-    name = entry.get("name")
-    if not isinstance(name, str) or not name:
-        raise ScenarioFileError(f"{path}.name", "required non-empty string")
-
-    items = []
-    capex_raw = entry.get("capex", [])
-    if not isinstance(capex_raw, list):
-        raise ScenarioFileError(f"{path}.capex", "must be a list")
-    for j, item in enumerate(capex_raw):
-        ipath = f"{path}.capex[{j}]"
-        item = _require_dict(item, ipath)
-        label = item.get("label")
-        if not isinstance(label, str) or not label:
-            raise ScenarioFileError(f"{ipath}.label", "required non-empty string")
-        amount = _money_value(item.get("amount_usd"), f"{ipath}.amount_usd")
-        life = item.get("asset_life_months", HORIZON_LIFE)
-        if life != HORIZON_LIFE and (
-                isinstance(life, bool) or not isinstance(life, int) or life <= 0):
-            raise ScenarioFileError(f"{ipath}.asset_life_months",
-                                    'must be a positive integer or "horizon"')
-        try:
-            items.append(CapexItem(label, amount, life))
-        except ValueError as exc:
-            raise ScenarioFileError(ipath, str(exc)) from None
-
-    opex_raw = _require_dict(entry.get("opex"), f"{path}.opex")
-    rate_money = _money_value(opex_raw.get("per_inference_usd"),
-                              f"{path}.opex.per_inference_usd")
+    name = _require_str(entry.get("name"), f"{path}.name")
+    at = path  # the object being built; a FieldError names one of its fields
     try:
-        rate = PerInferenceRate(rate_money.amount)
-    except ValueError as exc:
-        raise ScenarioFileError(f"{path}.opex.per_inference_usd", str(exc)) from None
-    fixed = Money(0)
-    if "fixed_per_period_usd" in opex_raw:
-        fixed = _money_value(opex_raw.get("fixed_per_period_usd"),
-                             f"{path}.opex.fixed_per_period_usd")
-    try:
-        opex = OpexModel(rate, fixed)
-    except ValueError as exc:
-        raise ScenarioFileError(f"{path}.opex", str(exc)) from None
-
-    volume_raw = _require_dict(entry.get("volume"), f"{path}.volume")
-    per_period = volume_raw.get("per_period")
-    if not isinstance(per_period, list) or not per_period:
-        raise ScenarioFileError(f"{path}.volume.per_period",
-                                "required non-empty list of integers")
-    for k, v in enumerate(per_period):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ScenarioFileError(f"{path}.volume.per_period[{k}]",
-                                    "must be a non-negative integer")
-    volume = VolumeProjection(tuple(per_period))
-
-    horizon_raw = entry.get("horizon", {})
-    horizon_raw = _require_dict(horizon_raw, f"{path}.horizon")
-    periods = horizon_raw.get("periods", 1)
-    plm = horizon_raw.get("period_length_months", 12)
-    try:
-        horizon = Horizon(periods, plm)
-    except ValueError as exc:
-        raise ScenarioFileError(f"{path}.horizon", str(exc)) from None
-
-    discount = NO_DISCOUNT
-    if "discount" in entry:
-        discount_raw = _require_dict(entry["discount"], f"{path}.discount")
-        mode = discount_raw.get("mode", "none")
-        if mode not in ("none", "wacc"):
-            raise ScenarioFileError(f"{path}.discount.mode",
-                                    'must be "none" or "wacc"')
-        denom = discount_raw.get("discount_denominator", False)
-        if not isinstance(denom, bool):
-            raise ScenarioFileError(f"{path}.discount.discount_denominator",
-                                    "must be a boolean")
-        if mode == "wacc":
-            rate_raw = discount_raw.get("annual_rate")
-            if not isinstance(rate_raw, str):
-                raise ScenarioFileError(f"{path}.discount.annual_rate",
-                                        "required decimal string for wacc mode")
-            try:
-                annual = Fraction(Decimal(rate_raw))
-            except decimal.InvalidOperation:
-                raise ScenarioFileError(f"{path}.discount.annual_rate",
-                                        f"not a decimal: {rate_raw!r}") from None
-            try:
-                discount = DiscountPolicy("wacc", annual, denom)
-            except ValueError as exc:
-                raise ScenarioFileError(f"{path}.discount", str(exc)) from None
-        else:
-            # a rate given alongside mode "none" is unused; normalize it away
-            discount = DiscountPolicy("none", None, denom)
-
-    try:
-        return CostScenario(name, tuple(items), opex, volume, horizon, discount)
-    except ValueError as exc:
-        raise ScenarioFileError(path, str(exc)) from None
+        capex = []
+        for j, raw in enumerate(_require_list(entry.get("capex", []), f"{path}.capex")):
+            at = f"{path}.capex[{j}]"
+            raw = _require_dict(raw, at)
+            capex.append(CapexItem(_require_str(raw.get("label"), f"{at}.label"),
+                                   _parsed(raw, "amount_usd", Money.from_usd),
+                                   raw.get("asset_life_months", HORIZON_LIFE)))
+        at = f"{path}.opex"
+        raw = _require_dict(entry.get("opex"), at)
+        opex = OpexModel(_parsed(raw, "per_inference_usd", PerInferenceRate.from_usd),
+                         _parsed(raw, "fixed_per_period_usd", Money.from_usd, 0))
+        at = f"{path}.volume"
+        raw = _require_dict(entry.get("volume"), at)
+        volume = VolumeProjection(_require_list(raw.get("per_period"), f"{at}.per_period"))
+        at = f"{path}.horizon"
+        raw = _require_dict(entry.get("horizon", {}), at)
+        horizon = Horizon(raw.get("periods", 1), raw.get("period_length_months", 12))
+        at = f"{path}.discount"
+        raw = _require_dict(entry.get("discount", {}), at)
+        mode = raw.get("mode", "none")
+        # a rate given alongside mode "none" is unused; normalize it away
+        rate = _parsed(raw, "annual_rate", _decimal_fraction) if mode == "wacc" else None
+        discount = DiscountPolicy(mode, rate, raw.get("discount_denominator", False))
+        at = path
+        return CostScenario(name, capex, opex, volume, horizon, discount)
+    except ScenarioFileError:
+        raise
+    except FieldError as exc:
+        raise ScenarioFileError(f"{at}.{exc.field}", exc.message) from None
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFileError(at, str(exc)) from None
 
 
 def scenarios_to_dict(scenarios: Iterable[CostScenario]) -> dict:
@@ -487,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="count valid inferences in a telemetry log")
     p.add_argument("logfile", help="JSONL telemetry path, or - for stdin")
-    p.add_argument("--start", help="horizon start (RFC 3339); default: first record")
+    p.add_argument("--start", help="horizon start (RFC 3339); default: earliest record")
     p.add_argument("--periods", type=int, default=1)
     p.add_argument("--period-months", type=int, default=12)
     p.add_argument("--include-failed", action="store_true",
@@ -527,13 +482,6 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _decimal_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(Decimal(text))
-    except decimal.InvalidOperation:
-        raise ValueError(f"not a decimal value: {text!r}") from None
-
-
 def _sweep_points(parameter: str, start: str, stop: str, step: str) -> list:
     if parameter == "volume":
         first, last, delta = int(start), int(stop), int(step)
@@ -545,11 +493,10 @@ def _sweep_points(parameter: str, start: str, stop: str, step: str) -> list:
         raise ValueError("step must be positive")
     if last < first:
         raise ValueError("stop must be at least start")
-    points = []
-    value = first
-    while value <= last:
-        points.append(value)
-        value += delta
+    count = (last - first) // delta + 1
+    if count > MAX_SWEEP_POINTS:
+        raise ValueError(f"the grid has {count:,} points; the limit is {MAX_SWEEP_POINTS:,}")
+    points = list(itertools.accumulate(itertools.repeat(delta, count - 1), initial=first))
     if parameter == "opex_rate":
         return [PerInferenceRate(p) for p in points]
     return points
@@ -618,7 +565,7 @@ def _cmd_ingest(args) -> int:
     if args.start:
         start = parse_rfc3339(args.start)
     elif parsed.records:
-        start = parsed.records[0].timestamp
+        start = min(r.timestamp for r in parsed.records)
     else:
         start = None
     if start is None:

@@ -16,7 +16,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Literal, Union
 
-from .errors import InvalidHorizonError, UndefinedMetricError
+from .errors import FieldError, InvalidHorizonError, UndefinedMetricError
 
 MICRO_PER_USD = 10**6
 
@@ -182,12 +182,14 @@ class CapexItem:
     asset_life_months: Union[int, str] = HORIZON_LIFE
 
     def __post_init__(self):
+        if not isinstance(self.label, str) or not self.label:
+            raise FieldError("label", "required non-empty string")
+        life = self.asset_life_months
+        if life != HORIZON_LIFE and (
+                isinstance(life, bool) or not isinstance(life, int) or life <= 0):
+            raise FieldError("asset_life_months", 'must be a positive integer or "horizon"')
         if self.amount.amount < 0:
             raise ValueError("CAPEX amount must be non-negative")
-        if self.asset_life_months != HORIZON_LIFE:
-            life = self.asset_life_months
-            if isinstance(life, bool) or not isinstance(life, int) or life <= 0:
-                raise ValueError("asset_life_months must be a positive integer or 'horizon'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,10 +218,10 @@ class VolumeProjection:
         entries = tuple(self.per_period)
         object.__setattr__(self, "per_period", entries)
         if not entries:
-            raise ValueError("projection needs at least one period")
-        for v in entries:
+            raise FieldError("per_period", "projection needs at least one period")
+        for k, v in enumerate(entries):
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise ValueError("period volumes must be non-negative integers")
+                raise FieldError(f"per_period[{k}]", "must be a non-negative integer")
 
     @property
     def total(self) -> int:
@@ -262,10 +264,12 @@ class DiscountPolicy:
 
     def __post_init__(self):
         if self.mode not in ("none", "wacc"):
-            raise ValueError(f"unknown discount mode {self.mode!r}")
+            raise FieldError("mode", 'must be "none" or "wacc"')
+        if not isinstance(self.discount_denominator, bool):
+            raise FieldError("discount_denominator", "must be a boolean")
         if self.mode == "wacc":
             if self.annual_rate is None:
-                raise ValueError("wacc mode requires an annual_rate")
+                raise FieldError("annual_rate", "wacc mode requires an annual_rate")
             rate = Fraction(self.annual_rate)
             object.__setattr__(self, "annual_rate", rate)
             if rate < 0:
@@ -300,8 +304,8 @@ class CostScenario:
     discount: DiscountPolicy = NO_DISCOUNT
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("scenario name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise FieldError("name", "required non-empty string")
         object.__setattr__(self, "capex", tuple(self.capex))
         if len(self.volume.per_period) != self.horizon.periods:
             raise ValueError(
@@ -429,17 +433,17 @@ def compute_lcoai(scenario: CostScenario) -> LcoaiResult:
 
     policy = scenario.discount
     plm = scenario.horizon.period_length_months
-    opex_exact = Fraction(0)
-    for t, vol in enumerate(scenario.volume.per_period, start=1):
-        period_opex = scenario.opex.period_total(vol)
-        opex_exact += discount_factor(policy, t, plm) * period_opex.amount
+    volumes = scenario.volume.per_period
+    if policy.is_discounting:
+        factors = [discount_factor(policy, t, plm) for t in range(1, len(volumes) + 1)]
+    else:
+        factors = [1] * len(volumes)  # every factor is 1: keep the sums in integers
+    opex_exact = sum(f * scenario.opex.period_total(vol).amount
+                     for f, vol in zip(factors, volumes))
     total_opex = Money(round_half_away(opex_exact))
 
     if policy.is_discounting and policy.discount_denominator:
-        denominator = sum(
-            discount_factor(policy, t, plm) * vol
-            for t, vol in enumerate(scenario.volume.per_period, start=1)
-        )
+        denominator = sum(f * vol for f, vol in zip(factors, volumes))
     else:
         denominator = Fraction(total_inferences)
 

@@ -3,6 +3,7 @@ savings against a non-AI baseline, and fine-tuning viability thresholds."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -66,8 +67,8 @@ def compare(scenarios: Sequence[CostScenario]) -> list:
     """
     if not scenarios:
         raise ValueError("compare needs at least one scenario")
-    names = [s.name for s in scenarios]
-    duplicates = {n for n in names if names.count(n) > 1}
+    counts = Counter(s.name for s in scenarios)
+    duplicates = {n for n, c in counts.items() if c > 1}
     if duplicates:
         raise ValueError(f"duplicate scenario names: {sorted(duplicates)}")
     rows = []

@@ -11,6 +11,19 @@ class InvalidHorizonError(LcoaiError, ValueError):
     """A horizon with no periods or a non-positive period length."""
 
 
+class FieldError(LcoaiError, ValueError):
+    """A domain value rejected for one named field of the object being built.
+
+    ``field`` names it relative to that object, e.g. ``asset_life_months`` or
+    ``per_period[3]``; the scenario loader appends it to the object's path.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
 class UndefinedMetricError(LcoaiError):
     """The levelized cost is undefined (zero valid inferences)."""
 

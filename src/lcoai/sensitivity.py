@@ -242,7 +242,7 @@ def _break_even_closed_form(a: CostScenario, b: CostScenario,
     o_hi, o_lo = hi.opex.per_inference.rate, lo.opex.per_inference.rate
     if o_hi >= o_lo:
         return _dominated(a, b, lo)
-    delta_c = _charged_capex(hi) - _charged_capex(lo)
+    delta_c = abs(c_a - c_b)
     delta_o = o_lo - o_hi
     crossover = delta_c // delta_o + 1  # strictly cheaper above delta_c/delta_o
     if crossover > search_max:
@@ -313,11 +313,10 @@ def tornado(scenario: CostScenario, swing: Rational,
 
 
 def _tornado_point(scenario: CostScenario, parameter: str, k: Fraction) -> Money:
-    if parameter == "capex":
-        derived = with_capex_scaled(scenario, k)
-    elif parameter == "opex_rate":
-        derived = with_opex_rate(scenario, scenario.opex.per_inference.scaled(k))
+    if parameter == "opex_rate":
+        point = scenario.opex.per_inference.scaled(k)
+    elif parameter == "volume":
+        point = round_half_away(Fraction(scenario.volume.total) * k)
     else:
-        derived = with_total_volume(
-            scenario, round_half_away(Fraction(scenario.volume.total) * k))
-    return compute_lcoai(derived).per_thousand
+        point = k
+    return compute_lcoai(_derive(scenario, parameter, point)).per_thousand

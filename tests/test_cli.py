@@ -1,6 +1,7 @@
 """Scenario files, table rendering, and the command-line surface."""
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,10 +22,79 @@ from lcoai import (
     scenarios_to_dict,
     sweep_series_csv,
 )
-from lcoai.cli_report import main
+from lcoai.cli_report import MAX_SWEEP_POINTS, _sweep_points, main
 from lcoai.sensitivity import SweepSpec, sweep
 
 from conftest import FIXTURES, GOLDEN
+
+_MISSING = object()
+
+_FULL_SCENARIO = {
+    "name": "full",
+    "capex": [{"label": "cluster", "amount_usd": "120000", "asset_life_months": 60},
+              {"label": "tuning", "amount_usd": "5000"}],
+    "opex": {"per_inference_usd": "0.0048", "fixed_per_period_usd": "1000"},
+    "volume": {"per_period": [500, 600, 700]},
+    "horizon": {"periods": 3, "period_length_months": 12},
+    "discount": {"mode": "wacc", "annual_rate": "0.105", "discount_denominator": True},
+}
+
+_BAD_VALUES = {"null": None, "bool": True, "float": 1.5, "empty": "", "negative": -1,
+               "list": [], "object": {}, "text": "x", "missing": _MISSING}
+
+# every field of a scenario, as a path below scenarios[0] ("" is the entry itself)
+_SCHEMA_FIELDS = (
+    "", "name", "capex", "capex[0]", "capex[0].label", "capex[0].amount_usd",
+    "capex[0].asset_life_months", "opex", "opex.per_inference_usd",
+    "opex.fixed_per_period_usd", "volume", "volume.per_period", "volume.per_period[1]",
+    "horizon", "horizon.periods", "horizon.period_length_months", "discount",
+    "discount.mode", "discount.annual_rate", "discount.discount_denominator",
+)
+
+# (field, bad value) cases not rejected at the field itself: the path the
+# error names instead, or None where the document stays valid
+_REPORTED_ELSEWHERE = {
+    ("", "object"): "name",
+    ("", "missing"): None,
+    ("name", "text"): None,
+    ("capex", "list"): None,
+    ("capex", "missing"): None,
+    ("capex[0]", "object"): "capex[0].label",
+    ("capex[0]", "missing"): None,
+    ("capex[0].label", "text"): None,
+    ("capex[0].amount_usd", "negative"): "capex[0]",
+    ("capex[0].asset_life_months", "missing"): None,
+    ("opex", "object"): "opex.per_inference_usd",
+    ("opex.fixed_per_period_usd", "negative"): "opex",
+    ("opex.fixed_per_period_usd", "missing"): None,
+    ("volume", "object"): "volume.per_period",
+    ("volume.per_period[1]", "missing"): "",
+    ("horizon", "object"): "",
+    ("horizon", "missing"): "",
+    **{("horizon.periods", bad): "horizon" for bad in _BAD_VALUES},
+    ("horizon.periods", "missing"): "",
+    **{("horizon.period_length_months", bad): "horizon" for bad in _BAD_VALUES},
+    ("horizon.period_length_months", "missing"): None,
+    ("discount", "object"): None,
+    ("discount", "missing"): None,
+    ("discount.mode", "missing"): None,
+    ("discount.discount_denominator", "bool"): None,
+    ("discount.discount_denominator", "missing"): None,
+}
+
+
+def _with_field(field: str, value) -> dict:
+    """A one-scenario document with one field of _FULL_SCENARIO replaced."""
+    doc = {"version": 1, "scenarios": [json.loads(json.dumps(_FULL_SCENARIO))]}
+    keys = [0] + [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", field)]
+    target = doc["scenarios"]
+    for key in keys[:-1]:
+        target = target[key]
+    if value is _MISSING:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return doc
 
 
 class TestLoadScenarios:
@@ -130,6 +200,47 @@ class TestLoadScenarios:
         first = scenarios_from_dict(doc)
         second = scenarios_from_dict(scenarios_to_dict(first))
         assert first == second
+
+
+class TestSchemaRejections:
+    @pytest.mark.parametrize("field", _SCHEMA_FIELDS)
+    def test_bad_values_are_rejected_at_their_field_path(self, field):
+        outcomes, expected = {}, {}
+        for bad, value in _BAD_VALUES.items():
+            where = _REPORTED_ELSEWHERE.get((field, bad), field)
+            expected[bad] = "valid" if where is None else f"scenarios[0].{where}".rstrip(".")
+            try:
+                loaded = scenarios_from_dict(_with_field(field, value))
+            except ScenarioFileError as exc:
+                outcomes[bad] = exc.path
+            else:
+                assert scenarios_from_dict(scenarios_to_dict(loaded)) == loaded
+                outcomes[bad] = "valid"
+        assert outcomes == expected
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None, 2, _MISSING])
+    def test_version_must_be_the_integer_1(self, version):
+        doc = _with_field("name", "v")
+        if version is _MISSING:
+            del doc["version"]
+        else:
+            doc["version"] = version
+        with pytest.raises(ScenarioFileError) as info:
+            scenarios_from_dict(doc)
+        assert info.value.path == "version"
+
+    @pytest.mark.parametrize("scenarios", [None, {}, "x", 1])
+    def test_scenarios_must_be_a_list(self, scenarios):
+        with pytest.raises(ScenarioFileError) as info:
+            scenarios_from_dict({"version": 1, "scenarios": scenarios})
+        assert info.value.path == "scenarios"
+
+    @pytest.mark.parametrize("rate", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_annual_rate_exits_4(self, rate, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(_with_field("discount.annual_rate", rate)))
+        assert main(["table", str(path)]) == 4
+        assert "scenarios[0].discount.annual_rate:" in capsys.readouterr().err
 
 
 class TestReportTable:
@@ -260,6 +371,38 @@ class TestCliCommands:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:] == ["1000000,60.00"]
 
+    @pytest.mark.parametrize("start, stop, step", [
+        ("Infinity", "Infinity", "1"), ("0", "1", "Infinity"), ("NaN", "1", "1")])
+    def test_sweep_non_finite_grid_exits_1(self, start, stop, step, capsys):
+        code = main([
+            "sweep", str(FIXTURES / "table1.json"), "GPT-4.1 API", "capex_multiplier",
+            "--start", start, "--stop", stop, "--step", step])
+        assert code == 1
+        assert "not a finite decimal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parameter, start, stop, step", [
+        ("volume", "0", "1000000000000", "1"),
+        ("volume", "0", str(MAX_SWEEP_POINTS), "1"),
+        ("opex_rate", "0", "1000", "0.000001"),
+        ("capex_multiplier", "0.5", "2", "0.000000001"),
+    ])
+    def test_sweep_grid_over_the_point_cap_is_refused_before_building(
+            self, parameter, start, stop, step):
+        with pytest.raises(ValueError, match="limit"):
+            _sweep_points(parameter, start, stop, step)
+
+    def test_sweep_over_the_point_cap_exits_1(self, capsys):
+        code = main([
+            "sweep", str(FIXTURES / "table1.json"), "GPT-4.1 API", "volume",
+            "--start", "0", "--stop", "1000000000000", "--step", "1"])
+        assert code == 1
+        assert "1,000,000,000,001 points" in capsys.readouterr().err
+
+    def test_sweep_grid_is_start_plus_multiples_of_step(self):
+        assert _sweep_points("capex_multiplier", "0.5", "1.2", "0.25") == [
+            Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+        assert _sweep_points("volume", "0", "10", "5") == [0, 5, 10]
+
     def test_breakeven_prints_crossover(self, capsys):
         code = main(["breakeven", str(FIXTURES / "table1.json"),
                      "LLaMA-2-13B self-hosted", "GPT-4.1 API"])
@@ -296,6 +439,15 @@ class TestCliCommands:
         code = main(["ingest", str(FIXTURES / "telemetry_sample.jsonl")])
         assert code == 0
         assert "valid=3" in capsys.readouterr().out
+
+    def test_ingest_default_start_is_the_earliest_record(self, tmp_path, capsys):
+        original = FIXTURES / "telemetry_sample.jsonl"
+        reversed_log = tmp_path / "reversed.jsonl"
+        reversed_log.write_text("".join(reversed(original.read_text().splitlines(True))))
+        assert main(["ingest", str(original)]) == 0
+        forward = capsys.readouterr().out
+        assert main(["ingest", str(reversed_log)]) == 0
+        assert capsys.readouterr().out == forward
 
     def test_ingest_lenient_by_default_tallies_skips(self, tmp_path, capsys):
         path = tmp_path / "log.jsonl"

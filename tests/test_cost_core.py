@@ -9,6 +9,7 @@ from lcoai import (
     CapexItem,
     CostScenario,
     DiscountPolicy,
+    FieldError,
     HORIZON_LIFE,
     Horizon,
     InvalidHorizonError,
@@ -71,6 +72,23 @@ class TestTypeInvariants:
             DiscountPolicy("wacc", Fraction(-1, 10))
         assert not DiscountPolicy("wacc", Fraction(0)).is_discounting
         assert DiscountPolicy("wacc", Fraction(1, 10)).is_discounting
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: CapexItem("", Money(1)), "label"),
+        (lambda: CapexItem(None, Money(1)), "label"),
+        (lambda: CapexItem("x", Money(1), True), "asset_life_months"),
+        (lambda: VolumeProjection(()), "per_period"),
+        (lambda: VolumeProjection((1, 2, -3)), "per_period[2]"),
+        (lambda: DiscountPolicy("annual"), "mode"),
+        (lambda: DiscountPolicy("wacc"), "annual_rate"),
+        (lambda: DiscountPolicy("wacc", Fraction(1, 10), 1), "discount_denominator"),
+        (lambda: simple_scenario("", "0", "0.01", 1), "name"),
+        (lambda: simple_scenario(7, "0", "0.01", 1), "name"),
+    ])
+    def test_field_errors_name_the_rejected_field(self, build, field):
+        with pytest.raises(FieldError) as info:
+            build()
+        assert info.value.field == field
 
     def test_zero_volume_scenario_is_constructible(self):
         scenario = simple_scenario("lazy", "100", "0.01", 0)
