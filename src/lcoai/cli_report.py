@@ -31,6 +31,7 @@ from .cost_core import (
     PerInferenceRate,
     VolumeProjection,
     compute_lcoai,
+    decimal_ratio,
     round_half_away,
     usd_to_micro,
 )
@@ -286,16 +287,15 @@ def _parsed(obj: dict, key: str, parse, default=None):
 
 
 def _decimal_fraction(text: str) -> Fraction:
-    """Exact value of finite decimal text such as "0.08" or "1.5"."""
+    """Exact value of finite decimal text such as "0.08" or "1.5", with an
+    exponent in scientific notation within ±MAX_DECIMAL_EXPONENT."""
     if not isinstance(text, str):
         raise TypeError("must be a decimal string")
     try:
         value = Decimal(text)
     except decimal.InvalidOperation:
         raise ValueError(f"not a decimal value: {text!r}") from None
-    if not value.is_finite():
-        raise ValueError(f"not a finite decimal value: {text!r}")
-    return Fraction(value)
+    return Fraction(*decimal_ratio(value))
 
 
 def _scenario_from_dict(entry, path: str) -> CostScenario:

@@ -6,19 +6,30 @@ anywhere is round-half-away-from-zero at micro-dollar granularity. Discount
 factors are ``fractions.Fraction``. All types are immutable values and all
 operations are pure functions, so everything here is safe for unrestricted
 concurrent use.
+
+:class:`CompiledScenario` is the one evaluation path: ``compute_lcoai`` and
+every analysis in :mod:`lcoai.sensitivity` compile a scenario once and then
+evaluate each point with integer arithmetic.
 """
 
 from __future__ import annotations
 
 import decimal
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Literal, Union
 
 from .errors import FieldError, InvalidHorizonError, UndefinedMetricError
 
 MICRO_PER_USD = 10**6
+
+# decimal text whose exponent in scientific notation lies outside
+# ±MAX_DECIMAL_EXPONENT is rejected: "1e-999999999" would otherwise parse to a
+# billion-digit integer
+MAX_DECIMAL_EXPONENT = 100
 
 # CapexItem.asset_life_months sentinel: amortize over the analysis horizon.
 HORIZON_LIFE = "horizon"
@@ -29,18 +40,35 @@ Rational = Union[int, Fraction]
 def round_half_away(value: Rational) -> int:
     """Round an exact rational to the nearest integer, ties away from zero."""
     frac = Fraction(value)
-    n, d = frac.numerator, frac.denominator
+    return _round_div(frac.numerator, frac.denominator)
+
+
+def _round_div(n: int, d: int) -> int:
+    """``n / d`` (``d > 0``) rounded to the nearest integer, ties away from zero."""
     q, r = divmod(abs(n), d)
     if 2 * r >= d:
         q += 1
     return q if n >= 0 else -q
 
 
+def decimal_ratio(value: Decimal) -> tuple:
+    """Exact ``(numerator, denominator)`` of a finite Decimal whose exponent
+    in scientific notation lies within ±:data:`MAX_DECIMAL_EXPONENT`;
+    anything else raises ``ValueError``."""
+    if not value.is_finite():
+        raise ValueError(f"not a finite decimal value: {str(value)!r}")
+    if abs(value.adjusted()) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"the exponent of {str(value)!r} is outside "
+                         f"±{MAX_DECIMAL_EXPONENT}")
+    return value.as_integer_ratio()
+
+
 def usd_to_micro(usd: Union[str, int, Decimal]) -> int:
     """Convert an exact decimal USD quantity to integer micro-dollars.
 
     Floats are refused (their binary representation would defeat exactness),
-    as is anything finer than micro-dollar resolution (6 decimal places).
+    as is anything finer than micro-dollar resolution (6 decimal places) and
+    any exponent outside ±:data:`MAX_DECIMAL_EXPONENT`.
     """
     if isinstance(usd, bool):
         raise TypeError("bool is not a USD amount")
@@ -55,13 +83,9 @@ def usd_to_micro(usd: Union[str, int, Decimal]) -> int:
             raise ValueError(f"not a decimal amount: {usd!r}") from exc
     if not isinstance(usd, Decimal):
         raise TypeError(f"cannot convert {type(usd).__name__} to micro-dollars")
-    if not usd.is_finite():
-        raise ValueError("USD amount must be finite")
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        scaled = usd.scaleb(6)
-    micro = int(scaled)
-    if scaled != micro:
+    numerator, denominator = decimal_ratio(usd)
+    micro, rest = divmod(numerator * MICRO_PER_USD, denominator)
+    if rest:
         raise ValueError(f"{usd} exceeds micro-dollar resolution (6 decimal places)")
     return micro
 
@@ -353,6 +377,14 @@ def _uniform_stream(total_micro: int, periods: int) -> list:
     return stream
 
 
+def _charged(micro: int, life: Union[int, str], months: int) -> int:
+    """Capital an item of ``micro`` micro-dollars charges within ``months``:
+    all of it, unless its numeric asset life outlasts the horizon."""
+    if life == HORIZON_LIFE or life <= months:
+        return micro
+    return _round_div(micro * months, life)
+
+
 def amortize_capex(items: Iterable[CapexItem], horizon: Horizon) -> list:
     """Per-period capital charge stream (list of Money) over the horizon.
 
@@ -371,11 +403,7 @@ def amortize_capex(items: Iterable[CapexItem], horizon: Horizon) -> list:
         micro = item.amount.amount
         life = item.asset_life_months
         if life == HORIZON_LIFE or life >= total_months:
-            if life == HORIZON_LIFE:
-                charged = micro
-            else:
-                charged = round_half_away(Fraction(micro * total_months, life))
-            for i, c in enumerate(_uniform_stream(charged, periods)):
+            for i, c in enumerate(_uniform_stream(_charged(micro, life, total_months), periods)):
                 charges[i] += c
         else:
             prev = 0
@@ -393,10 +421,15 @@ def discount_factor(policy: DiscountPolicy, period_index: int,
 
     Periods are indexed from 1; the factor is 1/(1+annual_rate)^y with
     y = period_index * period_length_months / 12. Period 0 is commissioning
-    time and always carries factor 1 (capital is charged there). Non-integral
-    exponents (period grids that miss year boundaries) are evaluated to 50
-    significant digits and returned as the exact Fraction of that decimal, so
-    results stay deterministic.
+    time and always carries factor 1 (capital is charged there).
+
+    What "exact" means here: a whole-year exponent gives the exact rational
+    power. A non-integral exponent (a period grid that misses year
+    boundaries, such as quarters) is evaluated to 50 significant digits, and
+    the factor is the exact Fraction of that decimal power, so results stay
+    deterministic. Every result downstream is the exact rational that
+    follows from these factors; :class:`CompiledScenario` only rearranges
+    the sums over them and yields the same rational.
     """
     if period_index < 0:
         raise ValueError("period_index starts at 0 (commissioning)")
@@ -413,6 +446,71 @@ def discount_factor(policy: DiscountPolicy, period_index: int,
         return Fraction(1) / Fraction(b**y)
 
 
+class CompiledScenario:
+    """A scenario compiled once for repeated exact evaluation.
+
+    Compiling amortizes CAPEX once and computes each period's discount factor
+    f_t once, then writes the factors over one common denominator L as
+    integer weights w_t = f_t * L. A point, given by per-period volumes v_t,
+    a per-inference rate o (micro-dollars) and a charged CAPEX C, then costs
+    integer arithmetic only::
+
+        exact = (C*L + sum(w_t * (F + o*v_t))) / D
+
+    where F is the fixed OPEX per period and D is sum(w_t * v_t) when the
+    denominator is discounted, L * sum(v_t) otherwise. This is the
+    per-period Fraction formula with its sums rearranged: the rational is the
+    same. Instances are never mutated after construction.
+    """
+
+    __slots__ = ("scenario", "volumes", "rate", "capex", "fixed", "scale", "weights",
+                 "weight_sum", "discounts_denominator")
+
+    def __init__(self, scenario: CostScenario):
+        horizon, policy = scenario.horizon, scenario.discount
+        self.scenario = scenario
+        self.volumes = scenario.volume.per_period
+        self.rate = scenario.opex.per_inference.rate
+        self.fixed = scenario.opex.fixed_per_period.amount
+        self.capex = sum(c.amount for c in amortize_capex(scenario.capex, horizon))
+        if policy.is_discounting:
+            plm = horizon.period_length_months
+            factors = [discount_factor(policy, t, plm) for t in range(1, horizon.periods + 1)]
+            self.scale = math.lcm(*(f.denominator for f in factors))
+            self.weights = tuple(f.numerator * (self.scale // f.denominator) for f in factors)
+        else:
+            self.scale, self.weights = 1, (1,) * horizon.periods
+        self.weight_sum = sum(self.weights)
+        self.discounts_denominator = policy.is_discounting and policy.discount_denominator
+
+    def capex_scaled(self, k: Fraction) -> int:
+        """Charged CAPEX with every item amount scaled by ``k`` and rounded
+        per item, as :meth:`Money.scaled` rounds."""
+        p, q = k.numerator, k.denominator
+        months = self.scenario.horizon.months
+        return sum(_charged(_round_div(item.amount.amount * p, q), item.asset_life_months, months)
+                   for item in self.scenario.capex)
+
+    def evaluate(self, volumes: tuple, rate: int, capex: int) -> tuple:
+        """``(numerator, denominator, total_opex, per_inference)`` at one point.
+
+        The exact cost per inference is ``numerator / denominator``; the total
+        OPEX and the per-inference rate are micro-dollars rounded as
+        :func:`compute_lcoai` reports them (the rate from the rounded OPEX).
+        Raises :class:`~lcoai.errors.UndefinedMetricError` at zero volume.
+        """
+        scale = self.scale
+        weighted = sum(map(mul, self.weights, volumes))
+        opex = self.fixed * self.weight_sum + rate * weighted
+        denominator = weighted if self.discounts_denominator else scale * sum(volumes)
+        if not denominator:
+            raise UndefinedMetricError(
+                f"scenario {self.scenario.name!r} projects zero valid inferences")
+        total_opex = _round_div(opex, scale)
+        per_inference = _round_div((capex + total_opex) * scale, denominator)
+        return capex * scale + opex, denominator, total_opex, per_inference
+
+
 def compute_lcoai(scenario: CostScenario) -> LcoaiResult:
     """Levelized cost of the scenario, with full decomposition.
 
@@ -423,43 +521,18 @@ def compute_lcoai(scenario: CostScenario) -> LcoaiResult:
     :class:`~lcoai.errors.UndefinedMetricError` when the projection totals
     zero.
     """
-    total_inferences = scenario.volume.total
-    if total_inferences <= 0:
-        raise UndefinedMetricError(
-            f"scenario {scenario.name!r} projects zero valid inferences")
-
-    capex_stream = amortize_capex(scenario.capex, scenario.horizon)
-    total_capex_charged = Money(sum(c.amount for c in capex_stream))
-
-    policy = scenario.discount
-    plm = scenario.horizon.period_length_months
-    volumes = scenario.volume.per_period
-    if policy.is_discounting:
-        factors = [discount_factor(policy, t, plm) for t in range(1, len(volumes) + 1)]
-    else:
-        factors = [1] * len(volumes)  # every factor is 1: keep the sums in integers
-    opex_exact = sum(f * scenario.opex.period_total(vol).amount
-                     for f, vol in zip(factors, volumes))
-    total_opex = Money(round_half_away(opex_exact))
-
-    if policy.is_discounting and policy.discount_denominator:
-        denominator = sum(f * vol for f, vol in zip(factors, volumes))
-    else:
-        denominator = Fraction(total_inferences)
-
-    numerator = total_capex_charged + total_opex
-    per_inference = PerInferenceRate(
-        round_half_away(Fraction(numerator.amount) / denominator))
-    exact = (total_capex_charged.amount + opex_exact) / denominator
-
+    kernel = CompiledScenario(scenario)
+    numerator, denominator, total_opex, rate = kernel.evaluate(
+        kernel.volumes, kernel.rate, kernel.capex)
+    discounted = scenario.discount.is_discounting
     return LcoaiResult(
         scenario_name=scenario.name,
-        total_capex_charged=total_capex_charged,
-        total_opex=total_opex,
-        total_inferences=total_inferences,
-        per_inference=per_inference,
-        per_thousand=per_inference.per_thousand(),
-        discounted=policy.is_discounting,
-        exact_per_inference=exact,
-        short_horizon_discounted=policy.is_discounting and scenario.horizon.months <= 24,
+        total_capex_charged=Money(kernel.capex),
+        total_opex=Money(total_opex),
+        total_inferences=sum(kernel.volumes),
+        per_inference=PerInferenceRate(rate),
+        per_thousand=Money(rate * 1000),
+        discounted=discounted,
+        exact_per_inference=Fraction(numerator, denominator),
+        short_horizon_discounted=discounted and scenario.horizon.months <= 24,
     )

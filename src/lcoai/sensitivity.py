@@ -1,9 +1,13 @@
 """Parameter sweeps, break-even volume solving, and tornado summaries.
 
-Everything here derives fresh scenarios from a base scenario and calls the
-core computation; the base is never mutated. Sweep points are independent, so
-callers may evaluate them concurrently; the assembled series is identical to
-sequential evaluation.
+Each analysis compiles its scenarios once into a
+:class:`~lcoai.cost_core.CompiledScenario` and evaluates every point on that
+compiled form: a point is the base scenario's per-period volumes, OPEX rate
+and charged CAPEX with one of them replaced, so no scenario is derived and
+nothing is re-amortized or re-validated per point. The ``with_*`` functions
+derive whole scenarios for callers that want one; a point's value always
+equals :func:`~lcoai.cost_core.compute_lcoai` of the derived scenario. The
+base is never mutated, and points are independent.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Literal, Optional, Union
 
 from .cost_core import (
+    CompiledScenario,
     CostScenario,
     Money,
     PerInferenceRate,
@@ -22,7 +27,7 @@ from .cost_core import (
     compute_lcoai,
     round_half_away,
 )
-from .errors import IncompatibleScenariosError
+from .errors import IncompatibleScenariosError, UndefinedMetricError
 
 SweepParameter = Literal["volume", "opex_rate", "capex_multiplier"]
 
@@ -30,6 +35,9 @@ SWEEP_PARAMETERS = ("volume", "opex_rate", "capex_multiplier")
 
 # volumes beyond this are reported as "no crossover" with search_exhausted set
 DEFAULT_SEARCH_MAX = 10**9
+
+# largest search bound break_even accepts; bisection takes log2(bound) steps
+MAX_SEARCH_MAX = 10**18
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,22 +142,25 @@ def with_total_volume(scenario: CostScenario, total: int) -> CostScenario:
     """
     if total < 0:
         raise ValueError("volume must be non-negative")
-    old = scenario.volume.per_period
-    if len(old) == 1:
-        per_period = (total,)
-    else:
-        old_total = sum(old)
-        weights = old if old_total else tuple(1 for _ in old)
-        weight_sum = old_total or len(old)
-        per_period = []
-        prev = cum = 0
-        for w in weights:
-            cum += w
-            target = (total * cum) // weight_sum
-            per_period.append(target - prev)
-            prev = target
-        per_period = tuple(per_period)
-    return replace(scenario, volume=VolumeProjection(per_period))
+    return replace(scenario, volume=VolumeProjection(_rescaled(scenario.volume.per_period, total)))
+
+
+def _rescaled(per_period: tuple, total: int) -> tuple:
+    """Per-period counts of the same shape summing to ``total`` (see
+    :func:`with_total_volume`)."""
+    if len(per_period) == 1:
+        return (total,)
+    old_total = sum(per_period)
+    weights = per_period if old_total else (1,) * len(per_period)
+    weight_sum = old_total or len(per_period)
+    rescaled = []
+    prev = cum = 0
+    for w in weights:
+        cum += w
+        target = (total * cum) // weight_sum
+        rescaled.append(target - prev)
+        prev = target
+    return tuple(rescaled)
 
 
 def with_opex_rate(scenario: CostScenario, rate: PerInferenceRate) -> CostScenario:
@@ -166,23 +177,26 @@ def with_capex_scaled(scenario: CostScenario, k: Rational) -> CostScenario:
     return replace(scenario, capex=items)
 
 
-def _derive(scenario: CostScenario, parameter: str, point) -> CostScenario:
+def _point_inputs(kernel: CompiledScenario, parameter: str, point) -> tuple:
+    """(volumes, rate, capex) of the kernel's scenario with one parameter set."""
     if parameter == "volume":
-        return with_total_volume(scenario, point)
+        return _rescaled(kernel.volumes, point), kernel.rate, kernel.capex
     if parameter == "opex_rate":
-        return with_opex_rate(scenario, point)
-    return with_capex_scaled(scenario, point)
+        return kernel.volumes, point.rate, kernel.capex
+    return kernel.volumes, kernel.rate, kernel.capex_scaled(point)
 
 
 def sweep(scenario: CostScenario, spec: SweepSpec) -> SweepResult:
     """Evaluate the levelized cost across the grid of a sweep spec."""
+    kernel = CompiledScenario(scenario)
     series = []
     for point in spec.points:
-        derived = _derive(scenario, spec.parameter, point)
-        if derived.volume.total == 0:
+        try:
+            rate = kernel.evaluate(*_point_inputs(kernel, spec.parameter, point))[3]
+        except UndefinedMetricError:  # zero volume
             series.append((point, None))
         else:
-            series.append((point, compute_lcoai(derived).per_thousand))
+            series.append((point, Money(rate * 1000)))
     return SweepResult(scenario.name, spec.parameter, tuple(series))
 
 
@@ -198,10 +212,6 @@ def _is_analytic(scenario: CostScenario) -> bool:
     )
 
 
-def _exact_at(scenario: CostScenario, volume: int) -> Fraction:
-    return compute_lcoai(with_total_volume(scenario, volume)).exact_per_inference
-
-
 def break_even(a: CostScenario, b: CostScenario,
                search_max: int = DEFAULT_SEARCH_MAX) -> BreakEvenResult:
     """Smallest volume at which the higher-capital scenario is strictly cheaper.
@@ -210,11 +220,16 @@ def break_even(a: CostScenario, b: CostScenario,
     per-inference OPEX) are solved in closed form from
     ``C_hi + o_hi * V < C_lo + o_lo * V`` in exact integer micro-dollars.
     Other pairs fall back to monotone bisection on exact per-inference values
-    over [1, search_max]; the two paths agree wherever both apply. Scenarios
-    with differing horizons are not comparable.
+    over [1, search_max], evaluated on each scenario's compiled form; a
+    crossover found that way is confirmed with :func:`compute_lcoai` at V-1
+    and V. The two paths agree wherever both apply. ``search_max`` must lie
+    in [1, :data:`MAX_SEARCH_MAX`]. Scenarios with differing horizons are
+    not comparable.
     """
     if search_max <= 0:
         raise ValueError("search_max must be positive")
+    if search_max > MAX_SEARCH_MAX:
+        raise ValueError(f"search_max must be at most {MAX_SEARCH_MAX:,}")
     if a.horizon != b.horizon:
         raise IncompatibleScenariosError(
             f"horizons differ: {a.horizon} vs {b.horizon}")
@@ -252,39 +267,64 @@ def _break_even_closed_form(a: CostScenario, b: CostScenario,
 
 def _break_even_bisect(a: CostScenario, b: CostScenario,
                        search_max: int) -> BreakEvenResult:
-    c_a, c_b = _charged_capex(a), _charged_capex(b)
-    if c_a == c_b:
+    def exact(kernel: CompiledScenario, volume: int) -> tuple:
+        # (numerator, denominator) of the exact cost per inference at a volume
+        return kernel.evaluate(_rescaled(kernel.volumes, volume), kernel.rate, kernel.capex)[:2]
+
+    def diff(x: CompiledScenario, y: CompiledScenario, volume: int) -> Fraction:
+        (nx, dx), (ny, dy) = exact(x, volume), exact(y, volume)
+        return Fraction(nx * dy - ny * dx, dx * dy)
+
+    ka, kb = CompiledScenario(a), CompiledScenario(b)
+    if ka.capex == kb.capex:
         # no capital gap to amortize away; the ordering is volume-independent
         # apart from fixed per-period charges, which behave like capital
-        f_low = _exact_at(a, 1) - _exact_at(b, 1)
-        f_high = _exact_at(a, search_max) - _exact_at(b, search_max)
+        f_low = diff(ka, kb, 1)
+        f_high = diff(ka, kb, search_max)
         if f_low == 0 and f_high == 0:
             return _dominated(a, b, a)
         if f_low >= 0 and f_high >= 0:
             return _dominated(a, b, b)
         if f_low <= 0 and f_high <= 0:
             return _dominated(a, b, a)
-        hi, lo = (a, b) if f_low > 0 else (b, a)
+        hi, lo = (ka, kb) if f_low > 0 else (kb, ka)
     else:
-        hi, lo = (a, b) if c_a > c_b else (b, a)
+        hi, lo = (ka, kb) if ka.capex > kb.capex else (kb, ka)
 
-    def diff(volume: int) -> Fraction:
-        return _exact_at(hi, volume) - _exact_at(lo, volume)
+    def crossover(volume: int) -> BreakEvenResult:
+        result = BreakEvenResult(a.name, b.name, volume, lo.scenario.name, hi.scenario.name)
+        return _confirmed(result, hi.scenario, lo.scenario)
 
-    d_first = diff(1)
+    d_first = diff(hi, lo, 1)
     if d_first < 0:
-        return BreakEvenResult(a.name, b.name, 1, lo.name, hi.name)
-    d_last = diff(search_max)
+        return crossover(1)
+    d_last = diff(hi, lo, search_max)
     if d_last >= 0:
-        return _dominated(a, b, lo, exhausted=d_last < d_first)
-    low, high = 1, search_max  # diff(low) >= 0 > diff(high)
+        return _dominated(a, b, lo.scenario, exhausted=d_last < d_first)
+    low, high = 1, search_max  # hi is not cheaper at low, strictly cheaper at high
     while high - low > 1:
         mid = (low + high) // 2
-        if diff(mid) < 0:
+        (nh, dh), (nl, dl) = exact(hi, mid), exact(lo, mid)
+        if nh * dl < nl * dh:  # hi strictly cheaper; both denominators are positive
             high = mid
         else:
             low = mid
-    return BreakEvenResult(a.name, b.name, high, lo.name, hi.name)
+    return crossover(high)
+
+
+def _confirmed(result: BreakEvenResult, hi: CostScenario,
+               lo: CostScenario) -> BreakEvenResult:
+    """The result, once compute_lcoai on rescaled copies agrees that ``hi`` is
+    strictly cheaper at the crossover volume V and not at V-1."""
+    def cheaper(volume: int) -> bool:
+        return (compute_lcoai(with_total_volume(hi, volume)).exact_per_inference
+                < compute_lcoai(with_total_volume(lo, volume)).exact_per_inference)
+
+    v = result.crossover_volume
+    if not cheaper(v) or (v > 1 and cheaper(v - 1)):
+        raise RuntimeError(f"break-even confirmation failed at volume {v:,} "
+                           f"for {hi.name!r} against {lo.name!r}")
+    return result
 
 
 def tornado(scenario: CostScenario, swing: Rational,
@@ -301,22 +341,23 @@ def tornado(scenario: CostScenario, swing: Rational,
     unknown = chosen - set(TORNADO_PARAMETERS)
     if unknown:
         raise ValueError(f"unknown tornado parameters: {sorted(unknown)}")
+    kernel = CompiledScenario(scenario)
     entries = []
     for parameter in TORNADO_PARAMETERS:
         if parameter not in chosen:
             continue
-        low = _tornado_point(scenario, parameter, 1 - swing)
-        high = _tornado_point(scenario, parameter, 1 + swing)
+        low = _tornado_point(kernel, parameter, 1 - swing)
+        high = _tornado_point(kernel, parameter, 1 + swing)
         entries.append(TornadoEntry(parameter, low, high))
     entries.sort(key=lambda e: (-e.spread.amount, e.parameter))
     return entries
 
 
-def _tornado_point(scenario: CostScenario, parameter: str, k: Fraction) -> Money:
+def _tornado_point(kernel: CompiledScenario, parameter: str, k: Fraction) -> Money:
     if parameter == "opex_rate":
-        point = scenario.opex.per_inference.scaled(k)
+        point = kernel.scenario.opex.per_inference.scaled(k)
     elif parameter == "volume":
-        point = round_half_away(Fraction(scenario.volume.total) * k)
+        point = round_half_away(kernel.scenario.volume.total * k)
     else:
         point = k
-    return compute_lcoai(_derive(scenario, parameter, point)).per_thousand
+    return Money(kernel.evaluate(*_point_inputs(kernel, parameter, point))[3] * 1000)

@@ -22,8 +22,9 @@ from lcoai import (
     scenarios_to_dict,
     sweep_series_csv,
 )
-from lcoai.cli_report import MAX_SWEEP_POINTS, _sweep_points, main
-from lcoai.sensitivity import SweepSpec, sweep
+from lcoai.cli_report import MAX_SWEEP_POINTS, _decimal_fraction, _sweep_points, main
+from lcoai.cost_core import MAX_DECIMAL_EXPONENT
+from lcoai.sensitivity import MAX_SEARCH_MAX, SweepSpec, sweep
 
 from conftest import FIXTURES, GOLDEN
 
@@ -242,6 +243,20 @@ class TestSchemaRejections:
         assert main(["table", str(path)]) == 4
         assert "scenarios[0].discount.annual_rate:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, text", [
+        ("capex[0].amount_usd", "1e999999"),
+        ("capex[0].amount_usd", "1e-999999999"),
+        ("opex.per_inference_usd", "1e-999999999"),
+        ("opex.fixed_per_period_usd", "1e999999"),
+        ("discount.annual_rate", "1e-9999"),
+    ])
+    def test_extreme_exponent_exits_4_at_its_field(self, field, text, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(_with_field(field, text)))
+        assert main(["table", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert f"scenarios[0].{field}:" in err and "exponent" in err
+
 
 class TestReportTable:
     def test_rectangularity_enforced(self):
@@ -398,6 +413,22 @@ class TestCliCommands:
         assert code == 1
         assert "1,000,000,000,001 points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parameter, step", [
+        ("capex_multiplier", "1e-9999"), ("capex_multiplier", "1e9999"),
+        ("opex_rate", "1e-999999999"), ("opex_rate", "1e999999")])
+    def test_sweep_extreme_exponent_exits_1(self, parameter, step, capsys):
+        code = main([
+            "sweep", str(FIXTURES / "table1.json"), "GPT-4.1 API", parameter,
+            "--start", "1", "--stop", "2", "--step", step])
+        assert code == 1
+        assert "exponent" in capsys.readouterr().err
+
+    def test_decimal_text_exponent_is_bounded(self):
+        assert _decimal_fraction(f"1e-{MAX_DECIMAL_EXPONENT}") == Fraction(1, 10**MAX_DECIMAL_EXPONENT)
+        for text in ("1e-9999", "1e9999", f"1e-{MAX_DECIMAL_EXPONENT + 1}"):
+            with pytest.raises(ValueError, match="exponent"):
+                _decimal_fraction(text)
+
     def test_sweep_grid_is_start_plus_multiples_of_step(self):
         assert _sweep_points("capex_multiplier", "0.5", "1.2", "0.25") == [
             Fraction(1, 2), Fraction(3, 4), Fraction(1)]
@@ -416,6 +447,15 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "none" in out
         assert "Claude Haiku API" in out
+
+    @pytest.mark.parametrize("search_max, message", [
+        ("0", "positive"), ("-5", "positive"),
+        (str(MAX_SEARCH_MAX + 1), "at most"), ("9" * 4000, "at most")])
+    def test_breakeven_search_max_out_of_range_exits_1(self, search_max, message, capsys):
+        code = main(["breakeven", str(FIXTURES / "table1.json"),
+                     "LLaMA-2-13B self-hosted", "GPT-4.1 API", "--search-max", search_max])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_finetune_prints_threshold(self, capsys):
         code = main(["finetune", "--base", "0.010", "--tuned", "0.005",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lcoai import Money, PerInferenceRate, round_half_away, usd_to_micro
+from lcoai.cost_core import MAX_DECIMAL_EXPONENT
 
 
 class TestRounding:
@@ -74,6 +75,24 @@ class TestUsdParsing:
     def test_garbage_rejected(self, text):
         with pytest.raises(ValueError):
             usd_to_micro(text)
+
+    @pytest.mark.parametrize("text", [
+        "1e999999", "1e-999999999", "0e-999999999",
+        f"1e{MAX_DECIMAL_EXPONENT + 1}", f"1e-{MAX_DECIMAL_EXPONENT + 1}"])
+    def test_exponent_outside_the_bound_rejected(self, text):
+        for value in (text, Decimal(text)):
+            with pytest.raises(ValueError, match="exponent"):
+                usd_to_micro(value)
+
+    def test_exponent_at_the_bound(self):
+        assert usd_to_micro(f"1e{MAX_DECIMAL_EXPONENT}") == 10 ** (MAX_DECIMAL_EXPONENT + 6)
+        assert usd_to_micro(f"0e-{MAX_DECIMAL_EXPONENT}") == 0
+        with pytest.raises(ValueError, match="resolution"):
+            usd_to_micro(f"1e-{MAX_DECIMAL_EXPONENT}")
+
+    def test_many_digits_stay_exact(self):
+        digits = "9" * 80
+        assert usd_to_micro(f"{digits}.000001") == int(digits) * 10**6 + 1
 
 
 class TestMoney:

@@ -22,7 +22,7 @@ from lcoai import (
     with_capex_scaled,
     with_total_volume,
 )
-from lcoai.sensitivity import _break_even_bisect
+from lcoai.sensitivity import MAX_SEARCH_MAX, _break_even_bisect
 
 from conftest import simple_scenario
 
@@ -280,6 +280,13 @@ class TestBreakEven:
         assert result.crossover_volume is None
         assert result.search_exhausted
         assert result.cheaper_below == "GPT-4.1 API"
+
+    def test_search_max_is_capped(self, llama, gpt41):
+        assert break_even(llama, gpt41, search_max=MAX_SEARCH_MAX).crossover_volume == 28_846_154
+        fixed = simple_scenario("fixed", "0", "0.002", 1, fixed_usd="1000")
+        for a, b in ((llama, gpt41), (llama, fixed)):  # closed form and bisection
+            with pytest.raises(ValueError, match="at most"):
+                break_even(a, b, search_max=MAX_SEARCH_MAX + 1)
 
     def test_non_analytic_pair_uses_exact_bisection(self):
         # fixed per-period charges push these outside the closed-form regime
