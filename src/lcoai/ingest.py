@@ -5,16 +5,22 @@ outputs: health checks, background processes, and administrative queries are
 excluded, and (by the strict default) so are errored inference calls.
 
 Wire format: newline-delimited UTF-8 JSON objects with required string fields
-"ts" (RFC 3339), "kind", and "status"; unknown extra fields are ignored.
-Parsing is streaming and single-pass. Counting may be partitioned across
-workers and merged, since tallies add up record by record.
+"ts", "kind", and "status"; unknown extra fields are ignored. "ts" is an RFC
+3339 date-time, ``YYYY-MM-DDTHH:MM:SS[.frac]`` then ``Z``, ``+HH:MM`` or
+``-HH:MM`` (``t``/``z`` in either case, ASCII digits only, no second 60, no
+other ISO 8601 form). Fraction digits past the sixth are truncated, and an
+instant outside years 1-9999 once converted to UTC is rejected like any other
+malformed timestamp. Parsing is streaming and single-pass. Counting may be
+partitioned across workers and merged, since tallies add up record by record.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import MAXYEAR, datetime, timezone
 from enum import Enum
 from typing import Iterable, Optional, Union
 
@@ -83,15 +89,53 @@ class VolumeCount:
                 + self.excluded_failed + self.out_of_range)
 
 
+# RFC 3339 section 5.6 date-time, ASCII digits only; fromisoformat then checks
+# the calendar (month length, leap years). The offset is optional here only so
+# that a missing one gets its own message.
+_RFC3339 = re.compile(
+    r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt]((?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9])"
+    r"(?:\.([0-9]+))?([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?")
+
+
 def parse_rfc3339(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp (offset required) to a UTC datetime."""
-    # 3.10's fromisoformat rejects a literal Z suffix
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    parsed = datetime.fromisoformat(text)
-    if parsed.tzinfo is None:
+    """Parse an RFC 3339 date-time (offset required) to a UTC datetime.
+
+    Accepts ``YYYY-MM-DDTHH:MM:SS[.frac](Z|+HH:MM|-HH:MM)`` with ``t``/``z`` in
+    either case and any number of fraction digits; digits past the sixth are
+    truncated, so instants compare at microsecond resolution. Second 60, other
+    ISO 8601 forms and instants outside years 1-9999 in UTC raise ValueError.
+    """
+    match = _RFC3339.fullmatch(text)
+    if match is None:
+        raise ValueError("not an RFC 3339 date-time "
+                         "(YYYY-MM-DDTHH:MM:SS[.frac] then Z, +HH:MM or -HH:MM)")
+    date, clock, fraction, offset = match.groups()
+    if offset is None:
         raise ValueError("missing UTC offset")
-    return parsed.astimezone(timezone.utc)
+    # the one spelling that both 3.10's and 3.11's fromisoformat accept
+    if offset in ("Z", "z"):
+        offset = "+00:00"
+    if fraction is not None:
+        clock = f"{clock}.{(fraction + '00000')[:6]}"
+    parsed = datetime.fromisoformat(f"{date}T{clock}{offset}")
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError("instant is outside years 1-9999 in UTC") from None
+
+
+# one default decoder's scanner; it parses one value at an index, with no
+# check for trailing data (json.loads adds that check, and the error text)
+_scan_json = json.JSONDecoder().scan_once
+_KINDS = {kind.value: kind for kind in RecordKind}
+_STATUSES = {status.value: status for status in RecordStatus}
+# _parse_line fills a record's slots directly: its fields are already checked
+# (parse_rfc3339 returns aware datetimes), and the frozen dataclass __init__
+# with __post_init__ costs about a fifth of parsing a line
+_new_record = object.__new__
+_set_timestamp = InferenceRecord.timestamp.__set__
+_set_kind = InferenceRecord.kind.__set__
+_set_status = InferenceRecord.status.__set__
 
 
 def _parse_line(raw: Union[bytes, str], line_number: int) -> Optional[InferenceRecord]:
@@ -104,30 +148,36 @@ def _parse_line(raw: Union[bytes, str], line_number: int) -> Optional[InferenceR
     if not text:
         return None
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LogParseError(line_number, f"not valid JSON: {exc.msg}") from exc
+        obj, end = _scan_json(text, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end != len(text):
+        # anything but one value spanning the line: json.loads words the error
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise LogParseError(line_number, f"not valid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise LogParseError(line_number, "each line must be a JSON object")
-    fields = {}
-    for key in ("ts", "kind", "status"):
-        value = obj.get(key)
-        if not isinstance(value, str):
-            raise LogParseError(line_number, f"missing or non-string field {key!r}")
-        fields[key] = value
+    ts, kind, status = obj.get("ts"), obj.get("kind"), obj.get("status")
+    if not (isinstance(ts, str) and isinstance(kind, str) and isinstance(status, str)):
+        key = next(k for k in ("ts", "kind", "status") if not isinstance(obj.get(k), str))
+        raise LogParseError(line_number, f"missing or non-string field {key!r}")
     try:
-        timestamp = parse_rfc3339(fields["ts"])
+        timestamp = parse_rfc3339(ts)
     except ValueError as exc:
-        raise LogParseError(line_number, f"bad timestamp {fields['ts']!r}: {exc}") from exc
-    try:
-        kind = RecordKind(fields["kind"])
-    except ValueError:
-        raise LogParseError(line_number, f"unknown kind {fields['kind']!r}") from None
-    try:
-        status = RecordStatus(fields["status"])
-    except ValueError:
-        raise LogParseError(line_number, f"unknown status {fields['status']!r}") from None
-    return InferenceRecord(timestamp, kind, status)
+        raise LogParseError(line_number, f"bad timestamp {ts!r}: {exc}") from exc
+    record_kind = _KINDS.get(kind)
+    if record_kind is None:
+        raise LogParseError(line_number, f"unknown kind {kind!r}")
+    record_status = _STATUSES.get(status)
+    if record_status is None:
+        raise LogParseError(line_number, f"unknown status {status!r}")
+    record = _new_record(InferenceRecord)
+    _set_timestamp(record, timestamp)
+    _set_kind(record, record_kind)
+    _set_status(record, record_status)
+    return record
 
 
 def parse_log(lines: Iterable, *, strict: bool = True) -> ParseResult:
@@ -153,14 +203,25 @@ def parse_log(lines: Iterable, *, strict: bool = True) -> ParseResult:
     return ParseResult(tuple(records), tuple(skipped))
 
 
-def _months_elapsed(start: datetime, ts: datetime) -> int:
-    """Whole calendar months from start to ts (negative when ts precedes start)."""
-    a = start.astimezone(timezone.utc)
-    b = ts.astimezone(timezone.utc)
-    months = (b.year - a.year) * 12 + (b.month - a.month)
-    if (b.day, b.time()) < (a.day, a.time()):
-        months -= 1
-    return months
+def _month_boundaries(start: datetime, months: int) -> list:
+    """The UTC instants ``start + k months`` for k = 0, 1, ..., ``months``.
+
+    Each keeps start's day and time of day (in UTC); a day past the end of
+    its month rolls to midnight on the 1st of the next month. The list stops
+    at the last boundary before ``datetime.max``, so its length is at most
+    about 120,000 whatever ``months`` is.
+    """
+    first = start.astimezone(timezone.utc)
+    origin = first.year * 12 + first.month - 1
+    boundaries = []
+    for index in range(origin, min(origin + months, MAXYEAR * 12 + 11) + 1):
+        year, month = divmod(index, 12)
+        month += 1
+        try:
+            boundaries.append(first.replace(year=year, month=month))
+        except ValueError:  # the day is past the month's end, which December has not
+            boundaries.append(datetime(year, month + 1, 1, tzinfo=timezone.utc))
+    return boundaries
 
 
 def count_valid(records: Iterable, horizon: Horizon, start: datetime,
@@ -171,26 +232,36 @@ def count_valid(records: Iterable, horizon: Horizon, start: datetime,
     ``ok``, and it falls inside [start, start + horizon). Non-inference kinds
     are non-productive; errored inferences are failed; productive records
     outside the horizon land in ``out_of_range`` and in no bucket. Period
-    membership is by whole calendar months elapsed from ``start``.
+    membership is by whole calendar months elapsed from ``start``: a record
+    is in month k when ``start + k months <= ts < start + (k + 1) months``,
+    where a month boundary that falls past a month's last day is the 1st of
+    the next month at 00:00 UTC.
 
     The strict exclusion of errored inferences is reversible:
     ``include_failed=True`` admits them to the valid tally and the buckets.
     """
     if start.tzinfo is None:
         raise ValueError("start must be timezone-aware")
-    valid = nonproductive = failed = out_of_range = 0
-    buckets: dict = {}
+    boundaries = _month_boundaries(start, horizon.months)
+    # per_month[i] counts productive records with i - 1 whole months elapsed;
+    # 0 is before start and, when the list was not cut at datetime.max,
+    # len(boundaries) is at or past the horizon's end
+    per_month = [0] * (len(boundaries) + 1)
+    nonproductive = failed = 0
     for record in records:
         if record.kind is not RecordKind.INFERENCE:
             nonproductive += 1
         elif record.status is not RecordStatus.OK and not include_failed:
             failed += 1
         else:
-            months = _months_elapsed(start, record.timestamp)
-            if months < 0 or months >= horizon.months:
-                out_of_range += 1
-            else:
-                period = months // horizon.period_length_months
-                buckets[period] = buckets.get(period, 0) + 1
-                valid += 1
+            per_month[bisect_right(boundaries, record.timestamp)] += 1
+    in_range = min(horizon.months, len(boundaries))
+    buckets: dict = {}
+    for month in range(in_range):
+        n = per_month[month + 1]
+        if n:
+            period = month // horizon.period_length_months
+            buckets[period] = buckets.get(period, 0) + n
+    valid = sum(buckets.values())
+    out_of_range = sum(per_month) - valid
     return VolumeCount(valid, nonproductive, failed, out_of_range, buckets)

@@ -506,6 +506,24 @@ class TestCliCommands:
         assert code == 4
         assert "line 1" in capsys.readouterr().err
 
+    def test_ingest_skips_an_instant_past_year_9999(self, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"ts": "9999-12-31T23:00:00-05:00", "kind": "inference", "status": "ok"}\n'
+                        '{"ts": "2025-01-01T00:00:01Z", "kind": "inference", "status": "ok"}\n')
+        assert main(["ingest", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "valid=1" in out
+        assert "skipped_malformed=1" in out
+        assert main(["--strict", "ingest", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "line 1" in err and "outside years 1-9999" in err
+
+    @pytest.mark.parametrize("start", ["9999-12-31T23:00:00-05:00", "0001-01-01T00:00:00+01:00"])
+    def test_ingest_start_out_of_range_exits_1(self, start, capsys):
+        code = main(["ingest", str(FIXTURES / "telemetry_sample.jsonl"), "--start", start])
+        assert code == 1
+        assert "outside years 1-9999" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
 
@@ -516,6 +534,23 @@ class TestCliSubprocess:
             [sys.executable, "-m", "lcoai", "table", str(FIXTURES / "table1.json")],
             capture_output=True, text=True, check=True)
         assert result.stdout == (GOLDEN / "table1.md").read_text()
+
+    @pytest.mark.parametrize("window", [
+        (),
+        ("--start", "2025-01-15T00:00:00+01:00", "--periods", "3", "--period-months", "1"),
+    ])
+    def test_ingest_stdin_prints_what_the_path_prints(self, window, tmp_path):
+        lines = (FIXTURES / "telemetry_sample.jsonl").read_text().splitlines(True)
+        log = "".join(reversed(lines)) + "not json\n"
+        path = tmp_path / "log.jsonl"
+        path.write_text(log)
+        command = [sys.executable, "-m", "lcoai", "ingest"]
+        from_path = subprocess.run(command + [str(path), *window],
+                                   capture_output=True, text=True, check=True)
+        from_stdin = subprocess.run(command + ["-", *window], input=log,
+                                    capture_output=True, text=True, check=True)
+        assert "skipped_malformed=1" in from_path.stdout
+        assert from_stdin.stdout == from_path.stdout
 
     def test_exit_code_surfaces_through_interpreter(self):
         result = subprocess.run(

@@ -1,7 +1,10 @@
 """Telemetry parsing and valid-inference counting."""
 
+import calendar
+import dataclasses
+import json
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from lcoai import (
     parse_log,
     parse_rfc3339,
 )
+from lcoai.ingest import _month_boundaries
 
 from conftest import FIXTURES
 
@@ -38,6 +42,16 @@ class TestParseLog:
         assert record.kind is RecordKind.INFERENCE
         assert record.status is RecordStatus.OK
         assert record.timestamp == datetime(2025, 1, 1, tzinfo=UTC)
+
+    def test_parsed_record_is_an_ordinary_frozen_record(self):
+        (record,) = parse_log([_line(kind="admin", status="error")]).records
+        expected = InferenceRecord(datetime(2025, 1, 1, tzinfo=UTC),
+                                   RecordKind.ADMIN, RecordStatus.ERROR)
+        assert record == expected
+        assert hash(record) == hash(expected)
+        assert repr(record) == repr(expected)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.kind = RecordKind.INFERENCE
 
     def test_unknown_kind_names_line_one(self):
         with pytest.raises(LogParseError, match="line 1") as exc_info:
@@ -241,3 +255,234 @@ class TestCountProperties:
             a.out_of_range + b.out_of_range,
             merged_buckets,
         )
+
+
+class TestRfc3339:
+    @pytest.mark.parametrize("text", [
+        "20250101T000000Z",                # basic format
+        "2025-W01-1T00:00:00Z",            # week date
+        "2025-01-01T00:00Z",               # no seconds
+        "2025-01-01 00:00:00Z",            # space separator
+        "2025-01-01T00:00:00+0000",        # offset without a colon
+        "\uff12\uff10\uff12\uff15-01-01T00:00:00Z",   # fullwidth digits
+        "2025-01-01T00:00:0\u0661Z",        # Arabic-Indic digit
+        "2025-06-30T23:59:60Z",            # leap second
+    ])
+    def test_non_rfc3339_form_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_rfc3339(text)
+        with pytest.raises(LogParseError, match="timestamp"):
+            parse_log([_line(ts=text)])
+
+    @pytest.mark.parametrize("text, expected", [
+        ("2025-01-01t00:00:00z", datetime(2025, 1, 1, tzinfo=UTC)),
+        ("2025-01-01T05:30:00+05:30", datetime(2025, 1, 1, tzinfo=UTC)),
+        ("2024-12-31T14:00:00-10:00", datetime(2025, 1, 1, tzinfo=UTC)),
+        ("2025-01-01T00:00:00-00:00", datetime(2025, 1, 1, tzinfo=UTC)),
+        ("2025-01-01T00:00:00.5Z", datetime(2025, 1, 1, 0, 0, 0, 500000, tzinfo=UTC)),
+        ("2025-01-01T00:00:00.123Z", datetime(2025, 1, 1, 0, 0, 0, 123000, tzinfo=UTC)),
+        ("2025-01-01T00:00:00.123456Z", datetime(2025, 1, 1, 0, 0, 0, 123456, tzinfo=UTC)),
+        ("2025-01-01T00:00:00.123456999Z", datetime(2025, 1, 1, 0, 0, 0, 123456, tzinfo=UTC)),
+        ("2024-02-29T23:59:59.9999999+23:59", datetime(2024, 2, 29, 0, 0, 59, 999999, tzinfo=UTC)),
+    ])
+    def test_accepted_forms(self, text, expected):
+        parsed = parse_rfc3339(text)
+        assert parsed == expected
+        assert parsed.utcoffset() == timedelta(0)
+
+    @pytest.mark.parametrize("text", [
+        "2025-02-29T00:00:00Z", "2025-13-01T00:00:00Z", "2025-01-01T24:00:00Z",
+        "2025-01-01T00:60:00Z", "2025-01-01T00:00:00+24:00", "2025-01-01T00:00:00+05:60",
+        "2025-01-01T00:00:00.Z", "2025-01-01T00:00:00Z ",
+    ])
+    def test_out_of_range_fields_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_rfc3339(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("0001-01-01T00:00:00Z", datetime.min.replace(tzinfo=UTC)),
+        ("0001-01-01T00:00:00-01:00", datetime(1, 1, 1, 1, tzinfo=UTC)),
+        ("9999-12-31T23:59:59.999999Z", datetime.max.replace(tzinfo=UTC)),
+        ("9999-12-31T23:00:00+05:00", datetime(9999, 12, 31, 18, tzinfo=UTC)),
+    ])
+    def test_first_and_last_representable_instants(self, text, expected):
+        assert parse_rfc3339(text) == expected
+
+    @pytest.mark.parametrize("text", [
+        "0000-12-31T23:59:59Z",
+        "0001-01-01T00:00:00+01:00",
+        "0001-01-01T00:59:59.999999+01:00",
+        "9999-12-31T23:00:00-05:00",
+        "9999-12-31T23:59:59.999999-00:01",
+    ])
+    def test_instant_outside_years_1_to_9999_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_rfc3339(text)
+        result = parse_log([_line(ts=text), _line()], strict=False)
+        assert len(result.records) == 1
+        assert [e.line_number for e in result.skipped] == [1]
+
+
+_GOOD = _line()
+
+# lines json.loads accepts and rejects in different ways; "{...} x" is the
+# shape a lone value scan would accept without the trailing-data check
+_JSON_CORPUS = (
+    _GOOD,
+    "\ufeff" + _GOOD,
+    _GOOD + " x",
+    _GOOD + " " + _GOOD,
+    "{\u2026} x",
+    "\u00a0" + _GOOD + "\u2003",
+    "{\u00a0" + _GOOD[1:],
+    _line(extra=', "x": 1\u2028'),
+    '{"ts": NaN, "kind": "inference", "status": "ok"}',
+    _line(extra=', "latency_ms": NaN, "peak": Infinity, "low": -Infinity'),
+    "NaN",
+    "-Infinity",
+    '{"kind": "admin", "ts": "2025-01-01T00:00:00Z", "kind": "inference", "status": "ok"}',
+    '{"kind": "inference", "ts": "2025-01-01T00:00:00Z", "kind": "admin", "status": "ok"}',
+    _line(extra=', "meta": {"a": [1, 2.5e3, {"b": null}], "c": [true, false, "\\u00e9"]}'),
+    "[" * 40 + "]" * 40,
+    '{"a": [1, 2}',
+    _line(extra=","),
+    "{'ts': '2025-01-01T00:00:00Z'}",
+    '{"ts": "2025-01-01T00:00:00Z\t", "kind": "inference", "status": "ok"}',
+    '{"ts": "\\ud800", "kind": "inference", "status": "ok"}',
+    '{"ts": "2025-01-01T00:00:00Z", "kind": "inference", "status": "ok"',
+    "{", "}", "[]", "{}", '"inference"', "1", "1e999", "null", "true", "01", "-",
+)
+
+
+class TestJsonScan:
+    @pytest.mark.parametrize("line", _JSON_CORPUS)
+    def test_accepts_rejects_and_words_errors_like_json_loads(self, line):
+        result = parse_log([line], strict=False)
+        try:
+            value = json.loads(line.strip())
+        except json.JSONDecodeError as exc:
+            assert [str(e) for e in result.skipped] == [f"line 1: not valid JSON: {exc.msg}"]
+            return
+        messages = [str(e) for e in result.skipped]
+        if not isinstance(value, dict):
+            assert messages == ["line 1: each line must be a JSON object"]
+        elif result.records:
+            (record,) = result.records
+            assert record.timestamp == parse_rfc3339(value["ts"])
+            assert record.kind.value == value["kind"]
+            assert record.status.value == value["status"]
+        else:
+            (message,) = messages
+            assert "JSON" not in message
+
+
+def _months_elapsed(start, ts):
+    """Whole calendar months from start to ts: the per-record rule that
+    count_valid's month-boundary bisect replaced, kept as its reference."""
+    a = start.astimezone(UTC)
+    b = ts.astimezone(UTC)
+    months = (b.year - a.year) * 12 + (b.month - a.month)
+    if (b.day, b.time()) < (a.day, a.time()):
+        months -= 1
+    return months
+
+
+def _reference_count(records, horizon, start, include_failed=False):
+    valid = nonproductive = failed = out_of_range = 0
+    buckets = {}
+    for record in records:
+        if record.kind is not RecordKind.INFERENCE:
+            nonproductive += 1
+        elif record.status is not RecordStatus.OK and not include_failed:
+            failed += 1
+        else:
+            months = _months_elapsed(start, record.timestamp)
+            if months < 0 or months >= horizon.months:
+                out_of_range += 1
+            else:
+                period = months // horizon.period_length_months
+                buckets[period] = buckets.get(period, 0) + 1
+                valid += 1
+    return VolumeCount(valid, nonproductive, failed, out_of_range, buckets)
+
+
+_zones = st.integers(-(24 * 60 - 1), 24 * 60 - 1).map(
+    lambda minutes: timezone(timedelta(minutes=minutes)))
+
+
+@st.composite
+def _starts(draw):
+    """Aware starts whose UTC day is 28-31 (Feb 29 included), in any zone."""
+    year = draw(st.sampled_from([2023, 2024, 2025, 2028]))
+    month = draw(st.integers(1, 12))
+    day = draw(st.integers(28, calendar.monthrange(year, month)[1]))
+    clock = draw(st.times())
+    utc = datetime.combine(datetime(year, month, day).date(), clock, tzinfo=UTC)
+    return utc.astimezone(draw(_zones))
+
+
+@st.composite
+def _count_cases(draw):
+    start = draw(st.one_of(_starts(), _instants))
+    length = draw(st.integers(1, 12))
+    horizon = Horizon(draw(st.integers(1, 60 // length)), length)
+    a = start.astimezone(UTC)
+    # candidate month edges around each boundary: start's day (clamped to the
+    # month) at start's time, and midnight on the 1st
+    edges = []
+    for k in range(-2, horizon.months + 3):
+        year, month = divmod(a.year * 12 + a.month - 1 + k, 12)
+        month += 1
+        day = min(a.day, calendar.monthrange(year, month)[1])
+        edges += [a.replace(year=year, month=month, day=day),
+                  datetime(year, month, 1, tzinfo=UTC)]
+    near = st.builds(lambda edge, us: edge + timedelta(microseconds=us),
+                     st.sampled_from(edges), st.integers(-1, 1))
+    anywhere = st.datetimes(min_value=datetime(2018, 1, 1), max_value=datetime(2035, 1, 1),
+                            timezones=st.just(UTC))
+    timestamps = st.builds(lambda instant, zone: instant.astimezone(zone),
+                           st.one_of(near, anywhere), st.one_of(st.just(UTC), _zones))
+    records = draw(st.lists(st.builds(
+        InferenceRecord, timestamp=timestamps,
+        kind=st.sampled_from(list(RecordKind)), status=st.sampled_from(list(RecordStatus))),
+        max_size=40))
+    return records, horizon, start, draw(st.booleans())
+
+
+class TestMonthBoundaries:
+    @settings(max_examples=300)
+    @given(case=_count_cases())
+    def test_count_valid_matches_months_elapsed(self, case):
+        records, horizon, start, include_failed = case
+        assert (count_valid(records, horizon, start, include_failed=include_failed)
+                == _reference_count(records, horizon, start, include_failed))
+
+    def test_day_past_month_end_rolls_to_the_first(self):
+        start = datetime(2024, 1, 31, 12, tzinfo=UTC)
+        assert _month_boundaries(start, 3) == [
+            start,
+            datetime(2024, 3, 1, tzinfo=UTC),
+            datetime(2024, 3, 31, 12, tzinfo=UTC),
+            datetime(2024, 5, 1, tzinfo=UTC),
+        ]
+
+    def test_boundaries_are_utc_whatever_the_start_zone(self):
+        start = datetime(2025, 3, 1, 1, tzinfo=timezone(timedelta(hours=2)))
+        assert _month_boundaries(start, 1) == [datetime(2025, 2, 28, 23, tzinfo=UTC),
+                                               datetime(2025, 3, 28, 23, tzinfo=UTC)]
+
+    def test_huge_horizon_is_bounded_and_matches_the_reference(self):
+        start = datetime(2025, 3, 31, 6, tzinfo=UTC)
+        horizon = Horizon(10**9, 12)
+        boundaries = _month_boundaries(start, horizon.months)
+        assert len(boundaries) == (9999 - 2025) * 12 + (12 - 3) + 1
+        assert boundaries[-1] == datetime(9999, 12, 31, 6, tzinfo=UTC)
+        records = [_record(iso) for iso in (
+            "2025-03-31T05:59:59.999999Z", "2025-03-31T06:00:00Z", "2026-03-31T06:00:00Z",
+            "9999-11-30T23:59:59Z", "9999-12-01T00:00:00Z", "9999-12-31T05:59:59Z",
+            "9999-12-31T06:00:00Z", "9999-12-31T23:59:59.999999Z",
+        )]
+        counts = count_valid(records, horizon, start)
+        assert counts == _reference_count(records, horizon, start)
+        assert counts.out_of_range == 1
+        assert max(counts.period_buckets) == 9999 - 2025
