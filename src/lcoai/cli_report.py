@@ -30,8 +30,11 @@ from .cost_core import (
     OpexModel,
     PerInferenceRate,
     VolumeProjection,
+    _fixed_point,
+    _round_div,
     compute_lcoai,
     decimal_ratio,
+    decimal_text,
     round_half_away,
     usd_to_micro,
 )
@@ -95,37 +98,7 @@ def plain_usd(money: Money, decimals: int = 2) -> str:
 def _usd_fixed_point(money: Money, decimals: int, prefix: str, group: str) -> str:
     if not 0 <= decimals <= 6:
         raise ValueError("decimals must be between 0 and 6")
-    scaled = round_half_away(Fraction(money.amount, 10 ** (6 - decimals)))
-    return _fixed_point(scaled, decimals, prefix, group)
-
-
-def _fixed_point(scaled: int, decimals: int, prefix: str = "", group: str = "") -> str:
-    """Text of ``scaled / 10**decimals`` with exactly ``decimals`` places.
-
-    The sign goes before ``prefix`` ("-$1.50"); ``group`` is the format spec
-    of the whole part ("," for thousands separators).
-    """
-    whole, frac = divmod(abs(scaled), 10**decimals)
-    text = f"{'-' if scaled < 0 else ''}{prefix}{whole:{group}}"
-    return f"{text}.{frac:0{decimals}d}" if decimals else text
-
-
-def fraction_to_decimal_string(value: Fraction) -> str:
-    """Exact decimal text for a fraction whose denominator is 2^a * 5^b."""
-    value = Fraction(value)
-    d = value.denominator
-    exp2 = exp5 = 0
-    while d % 2 == 0:
-        d //= 2
-        exp2 += 1
-    while d % 5 == 0:
-        d //= 5
-        exp5 += 1
-    if d != 1:
-        raise ValueError(f"{value} has no exact decimal representation")
-    # exact at max(exp2, exp5) places, whose last digit is never 0
-    digits = max(exp2, exp5)
-    return _fixed_point(value.numerator * 10**digits // value.denominator, digits)
+    return _fixed_point(_round_div(money.amount, 10 ** (6 - decimals)), decimals, prefix, group)
 
 
 def _format_percent(ratio: Fraction) -> str:
@@ -169,7 +142,7 @@ def _render_markdown(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> s
     return "\n".join(out) + "\n"
 
 
-def _render_csv(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def _render_csv(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")  # RFC 4180 line endings
     writer.writerow(columns)
@@ -196,15 +169,10 @@ def build_comparison_table(scenarios: Sequence[CostScenario],
 
 def sweep_series_csv(result: SweepResult) -> str:
     """Two-column RFC 4180 CSV of a sweep series, ready for external plotting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow([result.parameter, "lcoai_per_1000_usd"])
-    for point, cost in result.series:
-        writer.writerow([
-            _point_cell(result.parameter, point),
-            "NA" if cost is None else plain_usd(cost),
-        ])
-    return buf.getvalue()
+    return _render_csv(
+        (result.parameter, "lcoai_per_1000_usd"),
+        ((_point_cell(result.parameter, point), "NA" if cost is None else plain_usd(cost))
+         for point, cost in result.series))
 
 
 def _point_cell(parameter: str, point) -> str:
@@ -213,7 +181,7 @@ def _point_cell(parameter: str, point) -> str:
     if parameter == "opex_rate":
         return plain_usd(Money(point.rate), decimals=4)
     try:
-        return fraction_to_decimal_string(point)
+        return decimal_text(point)
     except ValueError:
         return str(point)  # e.g. a 1/3 multiplier has no exact decimal form
 
@@ -236,6 +204,8 @@ def load_scenarios(path) -> list:
                                          f"(line {exc.lineno})") from exc
         except UnicodeDecodeError as exc:
             raise ScenarioFileError("$", "not valid UTF-8") from exc
+        except (RecursionError, ValueError) as exc:  # too deep, or too many digits
+            raise ScenarioFileError("$", f"not valid JSON: {exc}") from None
     return scenarios_from_dict(doc)
 
 
@@ -350,7 +320,7 @@ def _scenario_to_dict(s: CostScenario) -> dict:
         "discount_denominator": s.discount.discount_denominator,
     }
     if s.discount.mode == "wacc":
-        discount["annual_rate"] = fraction_to_decimal_string(s.discount.annual_rate)
+        discount["annual_rate"] = decimal_text(s.discount.annual_rate)
     return {
         "name": s.name,
         "capex": [

@@ -31,6 +31,10 @@ MICRO_PER_USD = 10**6
 # billion-digit integer
 MAX_DECIMAL_EXPONENT = 100
 
+# longest horizon a discounting policy may cover (100 years): each period's
+# exact discount factor grows with its exponent
+MAX_DISCOUNTED_MONTHS = 1_200
+
 # CapexItem.asset_life_months sentinel: amortize over the analysis horizon.
 HORIZON_LIFE = "horizon"
 
@@ -49,6 +53,31 @@ def _round_div(n: int, d: int) -> int:
     if 2 * r >= d:
         q += 1
     return q if n >= 0 else -q
+
+
+def _fixed_point(scaled: int, decimals: int, prefix: str = "", group: str = "") -> str:
+    """Text of ``scaled / 10**decimals`` with exactly ``decimals`` places.
+
+    The sign goes before ``prefix`` ("-$1.50"); ``group`` is the format spec
+    of the whole part ("," for thousands separators).
+    """
+    whole, frac = divmod(abs(scaled), 10**decimals)
+    text = f"{'-' if scaled < 0 else ''}{prefix}{whole:{group}}"
+    return f"{text}.{frac:0{decimals}d}" if decimals else text
+
+
+def decimal_text(value: Rational) -> str:
+    """Shortest exact decimal text ("0.0048", "-1.5", "50000") of a rational
+    whose denominator is 2^a * 5^b; any other rational raises ValueError."""
+    value = Fraction(value)
+    n, d = value.numerator, value.denominator
+    twos = (d & -d).bit_length() - 1
+    fives = round(math.log(d >> twos, 5))
+    if 5**fives << twos != d:
+        raise ValueError(f"{value} has no exact decimal representation")
+    # exact at max(a, b) places, whose last digit is never 0
+    places = max(twos, fives)
+    return _fixed_point(n * 10**places // d, places)
 
 
 def decimal_ratio(value: Decimal) -> tuple:
@@ -88,15 +117,6 @@ def usd_to_micro(usd: Union[str, int, Decimal]) -> int:
     if rest:
         raise ValueError(f"{usd} exceeds micro-dollar resolution (6 decimal places)")
     return micro
-
-
-def micro_to_usd_string(micro: int) -> str:
-    """Minimal decimal USD string for a micro-dollar count ("0.0048", "50000")."""
-    sign = "-" if micro < 0 else ""
-    whole, frac = divmod(abs(micro), MICRO_PER_USD)
-    if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:06d}".rstrip("0")
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -147,7 +167,7 @@ class Money:
         return Decimal(self.amount).scaleb(-6)
 
     def usd_string(self) -> str:
-        return micro_to_usd_string(self.amount)
+        return decimal_text(Fraction(self.amount, MICRO_PER_USD))
 
     def __str__(self) -> str:
         return f"${self.usd_string()}"
@@ -189,7 +209,7 @@ class PerInferenceRate:
         return Decimal(self.rate).scaleb(-6)
 
     def usd_string(self) -> str:
-        return micro_to_usd_string(self.rate)
+        return decimal_text(Fraction(self.rate, MICRO_PER_USD))
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,6 +351,9 @@ class CostScenario:
         if not isinstance(self.name, str) or not self.name:
             raise FieldError("name", "required non-empty string")
         object.__setattr__(self, "capex", tuple(self.capex))
+        if self.discount.is_discounting and self.horizon.months > MAX_DISCOUNTED_MONTHS:
+            raise FieldError("horizon", f"a discounted horizon may cover at most "
+                                        f"{MAX_DISCOUNTED_MONTHS:,} months")
         if len(self.volume.per_period) != self.horizon.periods:
             raise ValueError(
                 f"projection covers {len(self.volume.per_period)} periods "
@@ -449,8 +472,8 @@ def discount_factor(policy: DiscountPolicy, period_index: int,
 class CompiledScenario:
     """A scenario compiled once for repeated exact evaluation.
 
-    Compiling amortizes CAPEX once and computes each period's discount factor
-    f_t once, then writes the factors over one common denominator L as
+    Compiling sums the charged CAPEX once and computes each period's discount
+    factor f_t once, then writes the factors over one common denominator L as
     integer weights w_t = f_t * L. A point, given by per-period volumes v_t,
     a per-inference rate o (micro-dollars) and a charged CAPEX C, then costs
     integer arithmetic only::
@@ -472,7 +495,7 @@ class CompiledScenario:
         self.volumes = scenario.volume.per_period
         self.rate = scenario.opex.per_inference.rate
         self.fixed = scenario.opex.fixed_per_period.amount
-        self.capex = sum(c.amount for c in amortize_capex(scenario.capex, horizon))
+        self.capex = self.capex_scaled(1)
         if policy.is_discounting:
             plm = horizon.period_length_months
             factors = [discount_factor(policy, t, plm) for t in range(1, horizon.periods + 1)]
@@ -483,9 +506,10 @@ class CompiledScenario:
         self.weight_sum = sum(self.weights)
         self.discounts_denominator = policy.is_discounting and policy.discount_denominator
 
-    def capex_scaled(self, k: Fraction) -> int:
+    def capex_scaled(self, k: Rational) -> int:
         """Charged CAPEX with every item amount scaled by ``k`` and rounded
-        per item, as :meth:`Money.scaled` rounds."""
+        per item, as :meth:`Money.scaled` rounds; ``k = 1`` gives the total
+        of the :func:`amortize_capex` stream."""
         p, q = k.numerator, k.denominator
         months = self.scenario.horizon.months
         return sum(_charged(_round_div(item.amount.amount * p, q), item.asset_life_months, months)

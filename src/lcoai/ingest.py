@@ -149,7 +149,7 @@ def _parse_line(raw: Union[bytes, str], line_number: int) -> Optional[InferenceR
         return None
     try:
         obj, end = _scan_json(text, 0)
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         end = -1
     if end != len(text):
         # anything but one value spanning the line: json.loads words the error
@@ -157,6 +157,8 @@ def _parse_line(raw: Union[bytes, str], line_number: int) -> Optional[InferenceR
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise LogParseError(line_number, f"not valid JSON: {exc.msg}") from exc
+        except (RecursionError, ValueError) as exc:  # too deep, or too many digits
+            raise LogParseError(line_number, f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise LogParseError(line_number, "each line must be a JSON object")
     ts, kind, status = obj.get("ts"), obj.get("kind"), obj.get("status")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Literal, Optional, Union
 
 from .cost_core import (
@@ -23,10 +24,10 @@ from .cost_core import (
     PerInferenceRate,
     Rational,
     VolumeProjection,
-    amortize_capex,
     compute_lcoai,
     round_half_away,
 )
+from .decision import fine_tune_threshold
 from .errors import IncompatibleScenariosError, UndefinedMetricError
 
 SweepParameter = Literal["volume", "opex_rate", "capex_multiplier"]
@@ -200,10 +201,6 @@ def sweep(scenario: CostScenario, spec: SweepSpec) -> SweepResult:
     return SweepResult(scenario.name, spec.parameter, tuple(series))
 
 
-def _charged_capex(scenario: CostScenario) -> int:
-    return sum(c.amount for c in amortize_capex(scenario.capex, scenario.horizon))
-
-
 def _is_analytic(scenario: CostScenario) -> bool:
     return (
         scenario.horizon.periods == 1
@@ -218,13 +215,17 @@ def break_even(a: CostScenario, b: CostScenario,
 
     Pairs in the analytic regime (single period, no discounting, purely
     per-inference OPEX) are solved in closed form from
-    ``C_hi + o_hi * V < C_lo + o_lo * V`` in exact integer micro-dollars.
-    Other pairs fall back to monotone bisection on exact per-inference values
-    over [1, search_max], evaluated on each scenario's compiled form; a
-    crossover found that way is confirmed with :func:`compute_lcoai` at V-1
-    and V. The two paths agree wherever both apply. ``search_max`` must lie
-    in [1, :data:`MAX_SEARCH_MAX`]. Scenarios with differing horizons are
-    not comparable.
+    ``C_hi + o_hi * V < C_lo + o_lo * V`` in exact integer micro-dollars,
+    with :func:`~lcoai.decision.fine_tune_threshold`'s formula. Other pairs
+    fall back to monotone bisection on exact per-inference values over
+    [1, search_max], evaluated on each scenario's compiled form; a crossover
+    found that way is confirmed with :func:`compute_lcoai` at V-1 and V.
+    Without a crossover, ``search_exhausted`` is set only when the dominated
+    scenario's cost per inference tends, as volume grows, to strictly less
+    than the dominator's, so the curves cross beyond the bound. Both paths
+    return the same result for an analytic pair. ``search_max`` must lie in
+    [1, :data:`MAX_SEARCH_MAX`]. Scenarios with differing horizons are not
+    comparable.
     """
     if search_max <= 0:
         raise ValueError("search_max must be positive")
@@ -247,19 +248,15 @@ def _dominated(a: CostScenario, b: CostScenario, winner: CostScenario,
 
 def _break_even_closed_form(a: CostScenario, b: CostScenario,
                             search_max: int) -> BreakEvenResult:
-    c_a, c_b = _charged_capex(a), _charged_capex(b)
-    o_a, o_b = a.opex.per_inference.rate, b.opex.per_inference.rate
-    if c_a == c_b:
-        if o_a == o_b:
-            return _dominated(a, b, a)  # identical curves
-        return _dominated(a, b, a if o_a < o_b else b)
+    c_a, c_b = CompiledScenario(a).capex, CompiledScenario(b).capex
+    if c_a == c_b:  # a weakly cheaper rate dominates; a wins a tie
+        return _dominated(a, b, a if a.opex.per_inference <= b.opex.per_inference else b)
     hi, lo = (a, b) if c_a > c_b else (b, a)
-    o_hi, o_lo = hi.opex.per_inference.rate, lo.opex.per_inference.rate
-    if o_hi >= o_lo:
+    # paying the capital gap for hi's rate is fine-tuning lo
+    crossover = fine_tune_threshold(lo.opex.per_inference, hi.opex.per_inference,
+                                    Money(abs(c_a - c_b))).threshold_volume
+    if crossover is None:
         return _dominated(a, b, lo)
-    delta_c = abs(c_a - c_b)
-    delta_o = o_lo - o_hi
-    crossover = delta_c // delta_o + 1  # strictly cheaper above delta_c/delta_o
     if crossover > search_max:
         return _dominated(a, b, lo, exhausted=True)
     return BreakEvenResult(a.name, b.name, crossover, lo.name, hi.name)
@@ -275,6 +272,11 @@ def _break_even_bisect(a: CostScenario, b: CostScenario,
         (nx, dx), (ny, dy) = exact(x, volume), exact(y, volume)
         return Fraction(nx * dy - ny * dx, dx * dy)
 
+    def no_crossover(winner: CompiledScenario, loser: CompiledScenario) -> BreakEvenResult:
+        # the loser can still cross beyond the bound only if it tends lower
+        return _dominated(a, b, winner.scenario,
+                          exhausted=_limit(loser) < _limit(winner))
+
     ka, kb = CompiledScenario(a), CompiledScenario(b)
     if ka.capex == kb.capex:
         # no capital gap to amortize away; the ordering is volume-independent
@@ -282,11 +284,11 @@ def _break_even_bisect(a: CostScenario, b: CostScenario,
         f_low = diff(ka, kb, 1)
         f_high = diff(ka, kb, search_max)
         if f_low == 0 and f_high == 0:
-            return _dominated(a, b, a)
+            return no_crossover(ka, kb)
         if f_low >= 0 and f_high >= 0:
-            return _dominated(a, b, b)
+            return no_crossover(kb, ka)
         if f_low <= 0 and f_high <= 0:
-            return _dominated(a, b, a)
+            return no_crossover(ka, kb)
         hi, lo = (ka, kb) if f_low > 0 else (kb, ka)
     else:
         hi, lo = (ka, kb) if ka.capex > kb.capex else (kb, ka)
@@ -295,12 +297,10 @@ def _break_even_bisect(a: CostScenario, b: CostScenario,
         result = BreakEvenResult(a.name, b.name, volume, lo.scenario.name, hi.scenario.name)
         return _confirmed(result, hi.scenario, lo.scenario)
 
-    d_first = diff(hi, lo, 1)
-    if d_first < 0:
+    if diff(hi, lo, 1) < 0:
         return crossover(1)
-    d_last = diff(hi, lo, search_max)
-    if d_last >= 0:
-        return _dominated(a, b, lo.scenario, exhausted=d_last < d_first)
+    if diff(hi, lo, search_max) >= 0:
+        return no_crossover(lo, hi)
     low, high = 1, search_max  # hi is not cheaper at low, strictly cheaper at high
     while high - low > 1:
         mid = (low + high) // 2
@@ -310,6 +310,18 @@ def _break_even_bisect(a: CostScenario, b: CostScenario,
         else:
             low = mid
     return crossover(high)
+
+
+def _limit(kernel: CompiledScenario) -> Fraction:
+    """The exact cost per inference the kernel's scenario tends to as its
+    total volume grows: the OPEX rate when the denominator is discounted,
+    else the rate times sum(w_t * p_t) / (L * sum(p_t)) for the projection
+    shape p (uniform when it is all zero), as :func:`_rescaled` keeps it."""
+    if kernel.discounts_denominator:
+        return Fraction(kernel.rate)
+    shape = kernel.volumes if any(kernel.volumes) else (1,) * len(kernel.volumes)
+    return Fraction(kernel.rate * sum(map(mul, kernel.weights, shape)),
+                    kernel.scale * sum(shape))
 
 
 def _confirmed(result: BreakEvenResult, hi: CostScenario,

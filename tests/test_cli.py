@@ -23,7 +23,7 @@ from lcoai import (
     sweep_series_csv,
 )
 from lcoai.cli_report import MAX_SWEEP_POINTS, _decimal_fraction, _sweep_points, main
-from lcoai.cost_core import MAX_DECIMAL_EXPONENT
+from lcoai.cost_core import MAX_DECIMAL_EXPONENT, MAX_DISCOUNTED_MONTHS
 from lcoai.sensitivity import MAX_SEARCH_MAX, SweepSpec, sweep
 
 from conftest import FIXTURES, GOLDEN
@@ -258,6 +258,39 @@ class TestSchemaRejections:
         assert f"scenarios[0].{field}:" in err and "exponent" in err
 
 
+    @pytest.mark.parametrize("text, reason", [
+        ("[" * 100_000, "recursion"),
+        (json.dumps(_with_field("volume.per_period", [1, 2, 3])).replace("[1, 2, 3]",
+                                                                       f"[1, {'7' * 5_000}, 3]"),
+         "(4300"),
+    ], ids=["deep", "long-int"])
+    def test_json_the_decoder_cannot_hold_exits_4(self, text, reason, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioFileError) as info:
+            load_scenarios(path)
+        assert info.value.path == "$"
+        assert main(["table", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: $: not valid JSON:") and reason in err
+
+    @pytest.mark.parametrize("horizon", [
+        {"periods": 1, "period_length_months": MAX_DISCOUNTED_MONTHS + 1},
+        {"periods": 1, "period_length_months": 1_200_000_001},
+        {"periods": 3, "period_length_months": 401},
+    ])
+    def test_discounted_horizon_over_100_years_exits_4(self, horizon, tmp_path, capsys):
+        doc = _with_field("horizon", horizon)
+        doc["scenarios"][0]["volume"]["per_period"] = [1] * horizon["periods"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compute", str(path), "full"]) == 4
+        assert "scenarios[0].horizon: a discounted horizon" in capsys.readouterr().err
+        doc["scenarios"][0]["discount"] = {"mode": "none"}
+        path.write_text(json.dumps(doc))
+        assert main(["compute", str(path), "full"]) == 0
+
+
 class TestReportTable:
     def test_rectangularity_enforced(self):
         with pytest.raises(ValueError):
@@ -310,6 +343,21 @@ class TestSweepCsv:
         points = tuple(PerInferenceRate(r) for r in range(1_000, 20_001, 1_000))
         text = sweep_series_csv(sweep(gpt, SweepSpec("opex_rate", points)))
         assert text == (GOLDEN / "fig3_opex_gpt41.csv").read_bytes().decode()
+
+    def test_capex_multiplier_cells(self, llama):
+        points = (Fraction(7, 10**12), Fraction(1, 1024), Fraction(1, 3), Fraction(1, 2),
+                  Fraction(21, 20), Fraction(3))
+        text = sweep_series_csv(sweep(llama, SweepSpec("capex_multiplier", points)))
+        assert text.split("\r\n") == [
+            "capex_multiplier,lcoai_per_1000_usd", "0.000000000007,4.80", "0.0009765625,4.82",
+            "1/3,11.47", "0.5,14.80", "1.05,25.80", "3,64.80", ""]
+
+    def test_capex_multiplier_sweep_command(self, capsys):
+        code = main(["sweep", str(FIXTURES / "table1.json"), "LLaMA-2-13B self-hosted",
+                     "capex_multiplier", "--start", "0.25", "--stop", "1", "--step", "0.375"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "capex_multiplier,lcoai_per_1000_usd", "0.25,9.80", "0.625,17.30", "1,24.80"]
 
     def test_undefined_point_renders_na(self, llama):
         text = sweep_series_csv(sweep(llama, SweepSpec("volume", (0, 1_000_000))))
@@ -457,6 +505,25 @@ class TestCliCommands:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    def test_breakeven_never_crossing_bisected_pair_is_not_exhausted(self, tmp_path, capsys):
+        # two periods send the pair through bisection; the dearer capital also
+        # has the dearer rate, so the curves never cross at any volume
+        horizon = {"periods": 2, "period_length_months": 12}
+        cheap = {"name": "cheap", "opex": {"per_inference_usd": "0.001"},
+                 "volume": {"per_period": [5, 5]}, "horizon": horizon}
+        dear = {"name": "dear", "capex": [{"label": "gpu", "amount_usd": "1000"}],
+                "opex": {"per_inference_usd": "0.002"},
+                "volume": {"per_period": [5, 5]}, "horizon": horizon}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"version": 1, "scenarios": [dear, cheap]}))
+        assert main(["breakeven", str(path), "dear", "cheap"]) == 0
+        assert capsys.readouterr().out == "crossover: none (cheap is cheaper at every volume)\n"
+        dear["opex"]["per_inference_usd"] = "0.0005"  # now it crosses at 666,667
+        path.write_text(json.dumps({"version": 1, "scenarios": [dear, cheap]}))
+        assert main(["breakeven", str(path), "dear", "cheap", "--search-max", "1000"]) == 0
+        assert capsys.readouterr().out == (
+            "crossover: none (cheap is cheaper at every volume up to the search bound of 1,000)\n")
+
     def test_finetune_prints_threshold(self, capsys):
         code = main(["finetune", "--base", "0.010", "--tuned", "0.005",
                      "--capex", "50000"])
@@ -517,6 +584,22 @@ class TestCliCommands:
         assert main(["--strict", "ingest", str(path)]) == 4
         err = capsys.readouterr().err
         assert "line 1" in err and "outside years 1-9999" in err
+
+    @pytest.mark.parametrize("line, reason", [
+        ("[" * 100_000, "recursion"),
+        ('{"ts": "2025-01-01T00:00:00Z", "kind": "inference", "status": "ok", "n": '
+         + "9" * 5_000 + "}", "(4300"),
+    ], ids=["deep", "long-int"])
+    def test_ingest_skips_json_the_decoder_cannot_hold(self, line, reason, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"ts": "2025-01-01T00:00:01Z", "kind": "inference", "status": "ok"}\n'
+                        + line + "\n")
+        assert main(["ingest", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "valid=1" in out and "skipped_malformed=1" in out
+        assert main(["--strict", "ingest", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "line 2: not valid JSON:" in err and reason in err
 
     @pytest.mark.parametrize("start", ["9999-12-31T23:00:00-05:00", "0001-01-01T00:00:00+01:00"])
     def test_ingest_start_out_of_range_exits_1(self, start, capsys):

@@ -24,6 +24,7 @@ from lcoai import (
     discount_factor,
     round_half_away,
 )
+from lcoai.cost_core import MAX_DISCOUNTED_MONTHS
 
 from conftest import simple_scenario
 
@@ -89,6 +90,21 @@ class TestTypeInvariants:
         with pytest.raises(FieldError) as info:
             build()
         assert info.value.field == field
+
+    def test_discounted_horizon_is_bounded(self):
+        policy = DiscountPolicy("wacc", Fraction(2, 25))
+        longest = simple_scenario("a", "0", "0.01", 1, horizon=Horizon(1, MAX_DISCOUNTED_MONTHS),
+                                  discount=policy)
+        assert compute_lcoai(longest).discounted
+        for horizon in (Horizon(1, MAX_DISCOUNTED_MONTHS + 1), Horizon(2, 601),
+                        Horizon(1, 1_200_000_001)):
+            with pytest.raises(FieldError) as info:
+                simple_scenario("a", "0", "0.01", [1] * horizon.periods, horizon=horizon,
+                                discount=policy)
+            assert info.value.field == "horizon"
+        # no factor is computed without discounting, so no bound applies
+        for policy in (NO_DISCOUNT, DiscountPolicy("wacc", Fraction(0))):
+            simple_scenario("a", "0", "0.01", 1, horizon=Horizon(1, 10**9), discount=policy)
 
     def test_zero_volume_scenario_is_constructible(self):
         scenario = simple_scenario("lazy", "100", "0.01", 0)

@@ -71,6 +71,17 @@ class TestParseLog:
         assert len(result.skipped) == 2
         assert [e.line_number for e in result.skipped] == [2, 3]
 
+    @pytest.mark.parametrize("line", ["[" * 100_000, '{"a":' * 50_000,
+                                      _line(extra=', "n": ' + "9" * 5_000),
+                                      _line(extra=', "n": [-' + "1" * 4_301 + "]")],
+                             ids=["deep-array", "deep-object", "long-int", "long-negative-int"])
+    def test_json_the_decoder_cannot_hold_is_a_malformed_line(self, line):
+        with pytest.raises(LogParseError, match="line 2: not valid JSON"):
+            parse_log([_line(), line])
+        result = parse_log([_line(), line, line.encode("utf-8"), _line()], strict=False)
+        assert len(result.records) == 2
+        assert [e.line_number for e in result.skipped] == [2, 3]
+
     def test_unknown_status_rejected(self):
         with pytest.raises(LogParseError, match="status"):
             parse_log([_line(status="degraded")])

@@ -36,7 +36,8 @@ from lcoai import (
     with_opex_rate,
     with_total_volume,
 )
-from lcoai.sensitivity import TORNADO_PARAMETERS
+from lcoai.cost_core import CompiledScenario
+from lcoai.sensitivity import TORNADO_PARAMETERS, _limit
 
 
 def reference_lcoai(s: CostScenario) -> tuple:
@@ -61,21 +62,37 @@ def reference_cost(s: CostScenario, volume: int) -> Fraction:
     return reference_lcoai(with_total_volume(s, volume))[0]
 
 
+def reference_limit(s: CostScenario) -> Fraction:
+    """The exact cost per inference as the total volume grows without bound:
+    capital and fixed charges vanish, and each period's volume tends to its
+    share of the projection shape (uniform when the projection is all zero)."""
+    rate = s.opex.per_inference.rate
+    if s.discount.is_discounting and s.discount.discount_denominator:
+        return Fraction(rate)
+    shape = s.volume.per_period if s.volume.total else (1,) * s.horizon.periods
+    factors = [discount_factor(s.discount, t, s.horizon.period_length_months)
+               for t in range(1, len(shape) + 1)]
+    return rate * sum(f * p for f, p in zip(factors, shape)) / sum(shape)
+
+
 def reference_break_even(a: CostScenario, b: CostScenario, search_max: int) -> BreakEvenResult:
-    """Bisection on reference values over [1, search_max]."""
-    def dominated(winner, exhausted=False):
-        return BreakEvenResult(a.name, b.name, None, winner.name, winner.name, exhausted)
+    """Bisection on reference values over [1, search_max]. Without a
+    crossover, the search is exhausted only when the dominated curve tends
+    strictly below the dominator's."""
+    def dominated(winner, loser):
+        return BreakEvenResult(a.name, b.name, None, winner.name, winner.name,
+                               reference_limit(loser) < reference_limit(winner))
 
     c_a, c_b = (sum(c.amount for c in amortize_capex(s.capex, s.horizon)) for s in (a, b))
     if c_a == c_b:
         f_low = reference_cost(a, 1) - reference_cost(b, 1)
         f_high = reference_cost(a, search_max) - reference_cost(b, search_max)
         if f_low == 0 and f_high == 0:
-            return dominated(a)
+            return dominated(a, b)
         if f_low >= 0 and f_high >= 0:
-            return dominated(b)
+            return dominated(b, a)
         if f_low <= 0 and f_high <= 0:
-            return dominated(a)
+            return dominated(a, b)
         hi, lo = (a, b) if f_low > 0 else (b, a)
     else:
         hi, lo = (a, b) if c_a > c_b else (b, a)
@@ -83,12 +100,10 @@ def reference_break_even(a: CostScenario, b: CostScenario, search_max: int) -> B
     def diff(volume):
         return reference_cost(hi, volume) - reference_cost(lo, volume)
 
-    d_first = diff(1)
-    if d_first < 0:
+    if diff(1) < 0:
         return BreakEvenResult(a.name, b.name, 1, lo.name, hi.name)
-    d_last = diff(search_max)
-    if d_last >= 0:
-        return dominated(lo, exhausted=d_last < d_first)
+    if diff(search_max) >= 0:
+        return dominated(lo, hi)
     low, high = 1, search_max
     while high - low > 1:
         mid = (low + high) // 2
@@ -131,6 +146,26 @@ _multipliers = st.lists(st.fractions(min_value=Fraction(1, 20), max_value=5, max
 
 
 class TestAgainstReference:
+    @settings(max_examples=200)
+    @given(data=st.data(), periods=st.integers(1, 8), plm=st.integers(1, 12))
+    def test_charged_capex_is_the_amortized_total(self, data, periods, plm):
+        horizon = Horizon(periods, plm)
+        lives = st.one_of(st.just(HORIZON_LIFE), st.integers(1, horizon.months),
+                          st.integers(horizon.months, 4 * horizon.months))
+        items = data.draw(st.lists(st.builds(lambda amount, life: CapexItem("c", Money(amount), life),
+                                             st.integers(0, 10**12), lives), max_size=4))
+        s = CostScenario("s", items, OpexModel(PerInferenceRate(1)),
+                         VolumeProjection((1,) * periods), horizon)
+        assert CompiledScenario(s).capex == sum(c.amount for c in amortize_capex(s.capex, horizon))
+
+    @settings(max_examples=100)
+    @given(s=scenarios())
+    def test_limit_is_where_the_cost_per_inference_tends(self, s):
+        limit = _limit(CompiledScenario(s))
+        assert limit == reference_limit(s)
+        volume = 10**40  # capital, fixed charges and rescale rounding are below 10**-20
+        assert abs(reference_cost(s, volume) - limit) < Fraction(1, 10**20)
+
     @settings(max_examples=200)
     @given(s=scenarios())
     def test_compute(self, s):

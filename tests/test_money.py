@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lcoai import Money, PerInferenceRate, round_half_away, usd_to_micro
-from lcoai.cost_core import MAX_DECIMAL_EXPONENT
+from lcoai.cost_core import MAX_DECIMAL_EXPONENT, decimal_text
 
 
 class TestRounding:
@@ -140,6 +140,42 @@ class TestMoney:
 
     def test_as_usd_is_exact(self):
         assert Money(4_800).as_usd() == Decimal("0.0048")
+
+    @pytest.mark.parametrize("micro, text", [
+        (0, "0"), (4_800, "0.0048"), (-4_800, "-0.0048"), (50_000 * 10**6, "50000"),
+        (-10**6, "-1"), (1, "0.000001"), (-1_500_000, "-1.5"), (10**30 + 10, "1000000000000000000000000.00001"),
+    ])
+    def test_usd_string_is_the_shortest_exact_text(self, micro, text):
+        assert Money(micro).usd_string() == text
+        assert PerInferenceRate(abs(micro)).usd_string() == text.lstrip("-")
+
+
+class TestDecimalText:
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(0), "0"), (Fraction(7), "7"), (Fraction(-7), "-7"),
+        (Fraction(2, 25), "0.08"), (Fraction(-21, 200), "-0.105"), (Fraction(5, 4), "1.25"),
+        (Fraction(1, 10**100), "0." + "0" * 99 + "1"),
+        (Fraction(-3, 2**100), f"-0.{3 * 5**100:0100d}"),
+        (Fraction(10**100), "1" + "0" * 100),
+        (-Fraction(10**100 + 1, 10**100), "-1." + "0" * 99 + "1"),
+    ])
+    def test_exact_text(self, value, text):
+        assert decimal_text(value) == text
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), Fraction(-2, 7), Fraction(1, 6),
+                                       Fraction(1, 3 * 5**40), Fraction(1, 2**30 * 5**30 * 3)])
+    def test_no_exact_decimal_form_is_rejected(self, value):
+        with pytest.raises(ValueError, match="no exact decimal"):
+            decimal_text(value)
+
+    @given(n=st.integers(-10**30, 10**30), twos=st.integers(0, 120), fives=st.integers(0, 120))
+    def test_text_is_exact_and_has_no_trailing_zero(self, n, twos, fives):
+        value = Fraction(n, 2**twos * 5**fives)
+        text = decimal_text(value)
+        assert Fraction(text) == value
+        if "." in text:
+            assert not text.endswith("0")
+        assert text == text.strip() and not text.startswith("+")
 
 
 class TestPerInferenceRate:

@@ -330,23 +330,24 @@ class TestBreakEven:
         if v > 1:
             assert cost(hi, v - 1) >= cost(lo, v - 1)
 
-    @settings(max_examples=100)
+    @settings(max_examples=300)
     @given(
-        c_hi=st.integers(min_value=1, max_value=10**7),
-        o_lo_extra=st.integers(min_value=1, max_value=10**4),
-        o_hi=st.integers(min_value=0, max_value=10**4),
+        c_hi=st.integers(min_value=0, max_value=10**7),
+        o_hi=st.integers(min_value=0, max_value=2 * 10**4),
+        o_lo=st.integers(min_value=0, max_value=2 * 10**4),
+        search_max=st.one_of(st.just(10**9), st.integers(min_value=1, max_value=10**4)),
     )
-    def test_bisection_agrees_with_closed_form(self, c_hi, o_lo_extra, o_hi):
+    def test_bisection_agrees_with_closed_form(self, c_hi, o_hi, o_lo, search_max):
+        # every outcome: a crossover, domination either way, equal capital,
+        # and a crossover beyond the search bound
         hi = CostScenario("hi", (CapexItem("c", Money(c_hi)),),
                           OpexModel(PerInferenceRate(o_hi)),
                           VolumeProjection((1,)), Horizon(1, 12))
         lo = CostScenario("lo", (),
-                          OpexModel(PerInferenceRate(o_hi + o_lo_extra)),
+                          OpexModel(PerInferenceRate(o_lo)),
                           VolumeProjection((1,)), Horizon(1, 12))
-        analytic = break_even(hi, lo)
-        bisected = _break_even_bisect(hi, lo, 10**9)
-        assert analytic.crossover_volume == bisected.crossover_volume
-        assert analytic.cheaper_above == bisected.cheaper_above
+        for a, b in ((hi, lo), (lo, hi)):
+            assert break_even(a, b, search_max) == _break_even_bisect(a, b, search_max)
 
     @settings(max_examples=100)
     @given(
