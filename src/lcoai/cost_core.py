@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from operator import mul
@@ -376,7 +376,8 @@ class LcoaiResult:
     exactly ``per_inference`` times 1,000 and keeps micro-dollar resolution;
     rounding to cents happens only in the reporting layer.
     ``exact_per_inference`` is the unrounded value, kept for property checks
-    and exact curve comparisons. ``short_horizon_discounted`` flags
+    and exact curve comparisons; the repr leaves it out, as it can run to more
+    digits than ``int`` will print. ``short_horizon_discounted`` flags
     discounting applied to a horizon of 24 months or less (normally omitted
     at that span).
     """
@@ -388,7 +389,7 @@ class LcoaiResult:
     per_inference: PerInferenceRate
     per_thousand: Money
     discounted: bool
-    exact_per_inference: Fraction
+    exact_per_inference: Fraction = field(repr=False)
     short_horizon_discounted: bool = False
 
 

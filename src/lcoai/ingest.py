@@ -188,7 +188,7 @@ def parse_log(lines: Iterable, *, strict: bool = True) -> ParseResult:
     Every well-formed line yields one record; blank lines are ignored. A
     malformed line raises :class:`~lcoai.errors.LogParseError` naming its
     1-based line number; with ``strict=False`` it is skipped and tallied in
-    the result instead.
+    the result instead, as the error without its traceback or chained causes.
     """
     records = []
     skipped = []
@@ -198,6 +198,8 @@ def parse_log(lines: Iterable, *, strict: bool = True) -> ParseResult:
         except LogParseError as err:
             if strict:
                 raise
+            # keep the message and line number, not the frames holding the line
+            err.__traceback__ = err.__cause__ = err.__context__ = None
             skipped.append(err)
             continue
         if record is not None:

@@ -213,17 +213,21 @@ def break_even(a: CostScenario, b: CostScenario,
                search_max: int = DEFAULT_SEARCH_MAX) -> BreakEvenResult:
     """Smallest volume at which the higher-capital scenario is strictly cheaper.
 
-    Pairs in the analytic regime (single period, no discounting, purely
-    per-inference OPEX) are solved in closed form from
-    ``C_hi + o_hi * V < C_lo + o_lo * V`` in exact integer micro-dollars,
-    with :func:`~lcoai.decision.fine_tune_threshold`'s formula. Other pairs
-    fall back to monotone bisection on exact per-inference values over
-    [1, search_max], evaluated on each scenario's compiled form; a crossover
-    found that way is confirmed with :func:`compute_lcoai` at V-1 and V.
-    Without a crossover, ``search_exhausted`` is set only when the dominated
-    scenario's cost per inference tends, as volume grows, to strictly less
-    than the dominator's, so the curves cross beyond the bound. Both paths
-    return the same result for an analytic pair. ``search_max`` must lie in
+    One driver decides every outcome on each scenario's compiled form, in
+    exact per-inference values. The higher-capital scenario charges more
+    CAPEX; at equal CAPEX it is the one dearer at volume 1, or on a tie
+    there, the one dearer at ``search_max``. It crosses at volume 1 when it
+    is already strictly cheaper there. When it is not strictly cheaper at
+    ``search_max`` either, the other scenario dominates, and
+    ``search_exhausted`` is set only when the dominated scenario's cost per
+    inference tends, as volume grows, to strictly less than the dominator's,
+    so the curves cross beyond the bound. Only the crossover between the
+    bounds is found two ways: pairs in the analytic regime (single period,
+    no discounting, purely per-inference OPEX) solve
+    ``C_hi + o_hi * V < C_lo + o_lo * V`` with
+    :func:`~lcoai.decision.fine_tune_threshold`'s formula; other pairs
+    bisect monotonically over [1, search_max], and confirm the crossover
+    with :func:`compute_lcoai` at V-1 and V. ``search_max`` must lie in
     [1, :data:`MAX_SEARCH_MAX`]. Scenarios with differing horizons are not
     comparable.
     """
@@ -234,82 +238,53 @@ def break_even(a: CostScenario, b: CostScenario,
     if a.horizon != b.horizon:
         raise IncompatibleScenariosError(
             f"horizons differ: {a.horizon} vs {b.horizon}")
-
-    if _is_analytic(a) and _is_analytic(b):
-        return _break_even_closed_form(a, b, search_max)
-    return _break_even_bisect(a, b, search_max)
-
-
-def _dominated(a: CostScenario, b: CostScenario, winner: CostScenario,
-               exhausted: bool = False) -> BreakEvenResult:
-    return BreakEvenResult(a.name, b.name, None, winner.name, winner.name,
-                           search_exhausted=exhausted)
-
-
-def _break_even_closed_form(a: CostScenario, b: CostScenario,
-                            search_max: int) -> BreakEvenResult:
-    c_a, c_b = CompiledScenario(a).capex, CompiledScenario(b).capex
-    if c_a == c_b:  # a weakly cheaper rate dominates; a wins a tie
-        return _dominated(a, b, a if a.opex.per_inference <= b.opex.per_inference else b)
-    hi, lo = (a, b) if c_a > c_b else (b, a)
-    # paying the capital gap for hi's rate is fine-tuning lo
-    crossover = fine_tune_threshold(lo.opex.per_inference, hi.opex.per_inference,
-                                    Money(abs(c_a - c_b))).threshold_volume
-    if crossover is None:
-        return _dominated(a, b, lo)
-    if crossover > search_max:
-        return _dominated(a, b, lo, exhausted=True)
-    return BreakEvenResult(a.name, b.name, crossover, lo.name, hi.name)
+    return _break_even(a, b, search_max, _is_analytic(a) and _is_analytic(b))
 
 
 def _break_even_bisect(a: CostScenario, b: CostScenario,
                        search_max: int) -> BreakEvenResult:
+    """:func:`break_even` with the crossover bisected even for analytic pairs."""
+    return _break_even(a, b, search_max, analytic=False)
+
+
+def _break_even(a: CostScenario, b: CostScenario, search_max: int,
+                analytic: bool) -> BreakEvenResult:
     def exact(kernel: CompiledScenario, volume: int) -> tuple:
         # (numerator, denominator) of the exact cost per inference at a volume
-        return kernel.evaluate(_rescaled(kernel.volumes, volume), kernel.rate, kernel.capex)[:2]
+        return kernel.evaluate(*_point_inputs(kernel, "volume", volume))[:2]
 
-    def diff(x: CompiledScenario, y: CompiledScenario, volume: int) -> Fraction:
+    def diff(x: CompiledScenario, y: CompiledScenario, volume: int) -> int:
+        # has the sign of x's cost minus y's: both denominators are positive
         (nx, dx), (ny, dy) = exact(x, volume), exact(y, volume)
-        return Fraction(nx * dy - ny * dx, dx * dy)
-
-    def no_crossover(winner: CompiledScenario, loser: CompiledScenario) -> BreakEvenResult:
-        # the loser can still cross beyond the bound only if it tends lower
-        return _dominated(a, b, winner.scenario,
-                          exhausted=_limit(loser) < _limit(winner))
+        return nx * dy - ny * dx
 
     ka, kb = CompiledScenario(a), CompiledScenario(b)
-    if ka.capex == kb.capex:
-        # no capital gap to amortize away; the ordering is volume-independent
-        # apart from fixed per-period charges, which behave like capital
-        f_low = diff(ka, kb, 1)
-        f_high = diff(ka, kb, search_max)
-        if f_low == 0 and f_high == 0:
-            return no_crossover(ka, kb)
-        if f_low >= 0 and f_high >= 0:
-            return no_crossover(kb, ka)
-        if f_low <= 0 and f_high <= 0:
-            return no_crossover(ka, kb)
-        hi, lo = (ka, kb) if f_low > 0 else (kb, ka)
-    else:
-        hi, lo = (ka, kb) if ka.capex > kb.capex else (kb, ka)
-
-    def crossover(volume: int) -> BreakEvenResult:
-        result = BreakEvenResult(a.name, b.name, volume, lo.scenario.name, hi.scenario.name)
-        return _confirmed(result, hi.scenario, lo.scenario)
+    if ka.capex != kb.capex:
+        a_is_hi = ka.capex > kb.capex
+    else:  # fixed charges act as capital: the side dearer at 1, else at search_max
+        a_is_hi = (diff(ka, kb, 1), diff(ka, kb, search_max)) > (0, 0)
+    hi, lo = (ka, kb) if a_is_hi else (kb, ka)
 
     if diff(hi, lo, 1) < 0:
-        return crossover(1)
-    if diff(hi, lo, search_max) >= 0:
-        return no_crossover(lo, hi)
-    low, high = 1, search_max  # hi is not cheaper at low, strictly cheaper at high
-    while high - low > 1:
-        mid = (low + high) // 2
-        (nh, dh), (nl, dl) = exact(hi, mid), exact(lo, mid)
-        if nh * dl < nl * dh:  # hi strictly cheaper; both denominators are positive
-            high = mid
-        else:
-            low = mid
-    return crossover(high)
+        volume = 1
+    elif diff(hi, lo, search_max) >= 0:
+        # hi can still cross beyond the bound only if it tends lower
+        return BreakEvenResult(a.name, b.name, None, lo.scenario.name, lo.scenario.name,
+                               search_exhausted=_limit(hi) < _limit(lo))
+    elif analytic:  # paying the capital gap for hi's rate is fine-tuning lo
+        volume = fine_tune_threshold(lo.scenario.opex.per_inference,
+                                     hi.scenario.opex.per_inference,
+                                     Money(hi.capex - lo.capex)).threshold_volume
+    else:
+        low, volume = 1, search_max  # hi is not cheaper at low, strictly cheaper at volume
+        while volume - low > 1:
+            mid = (low + volume) // 2
+            if diff(hi, lo, mid) < 0:
+                volume = mid
+            else:
+                low = mid
+    result = BreakEvenResult(a.name, b.name, volume, lo.scenario.name, hi.scenario.name)
+    return result if analytic else _confirmed(result, hi.scenario, lo.scenario)
 
 
 def _limit(kernel: CompiledScenario) -> Fraction:

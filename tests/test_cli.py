@@ -1,5 +1,6 @@
 """Scenario files, table rendering, and the command-line surface."""
 
+import itertools
 import json
 import re
 import subprocess
@@ -416,6 +417,19 @@ class TestCliCommands:
         code = main(["--format", "csv", "table", str(FIXTURES / "table1.json")])
         assert code == 0
         assert capsys.readouterr().out == (GOLDEN / "table1.csv").read_bytes().decode()
+
+    def test_table_ignores_scenario_order(self, tmp_path, capsys):
+        # compare breaks ties by a total order, so any permutation of the
+        # file renders the same bytes in both formats
+        document = json.loads((FIXTURES / "table1.json").read_text())
+        permuted = tmp_path / "permuted.json"
+        for order in itertools.permutations(document["scenarios"]):
+            permuted.write_text(json.dumps({**document, "scenarios": list(order)}))
+            for fmt in ([], ["--format", "csv"]):
+                assert main([*fmt, "table", str(FIXTURES / "table1.json")]) == 0
+                expected = capsys.readouterr().out
+                assert main([*fmt, "table", str(permuted)]) == 0
+                assert capsys.readouterr().out == expected
 
     def test_sweep_matches_golden(self, capsys):
         code = main([

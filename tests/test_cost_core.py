@@ -294,6 +294,20 @@ class TestComputeLcoai:
         assert result.discounted
         assert result.short_horizon_discounted
 
+    def test_repr_holds_for_an_exact_value_too_long_to_print(self):
+        # 200 quarterly WACC periods: the exact value's integers run past the
+        # interpreter's 4,300-digit str() limit, so the repr must leave it out
+        scenario = CostScenario(
+            "long", (CapexItem("c", Money(10**11)),),
+            OpexModel(PerInferenceRate(100), Money(10**6)),
+            VolumeProjection(tuple(range(1, 201))), Horizon(200, 3),
+            DiscountPolicy("wacc", Fraction(8, 100)))
+        result = compute_lcoai(scenario)
+        assert result.exact_per_inference.denominator.bit_length() > 4_300 * 10 // 3
+        text = repr(result)
+        assert "exact_per_inference" not in text
+        assert f"per_thousand={result.per_thousand!r}" in text
+
 
 # randomized inputs for the single-period analytic regime
 _capex = st.integers(min_value=0, max_value=10**12)     # micro-dollars

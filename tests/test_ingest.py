@@ -71,6 +71,24 @@ class TestParseLog:
         assert len(result.skipped) == 2
         assert [e.line_number for e in result.skipped] == [2, 3]
 
+    def test_lenient_mode_keeps_errors_without_their_chain(self):
+        # unknown status, bad JSON, bad timestamp: the last two chain a cause
+        lines = [_line(status="meh"), "{not json", _line(ts="yesterday")]
+        with pytest.raises(LogParseError) as strict:
+            parse_log([_line(), _line(), lines[2]])
+        assert strict.value.__cause__ is not None  # strict mode keeps the chain
+        result = parse_log(lines, strict=False)
+        assert [e.line_number for e in result.skipped] == [1, 2, 3]
+        assert [str(e) for e in result.skipped] == [
+            "line 1: unknown status 'meh'",
+            "line 2: not valid JSON: Expecting property name enclosed in double quotes",
+            str(strict.value),
+        ]
+        for err in result.skipped:
+            assert err.__traceback__ is None
+            assert err.__cause__ is None
+            assert err.__context__ is None
+
     @pytest.mark.parametrize("line", ["[" * 100_000, '{"a":' * 50_000,
                                       _line(extra=', "n": ' + "9" * 5_000),
                                       _line(extra=', "n": [-' + "1" * 4_301 + "]")],

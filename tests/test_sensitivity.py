@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lcoai import (
+    BreakEvenResult,
     CapexItem,
     CostScenario,
     Horizon,
@@ -261,6 +262,16 @@ class TestBreakEven:
         result = break_even(llama, llama)
         assert result.crossover_volume is None
         assert result.cheaper_below == llama.name
+        # equal capital, tied at volume 1 only: b is cheaper at every larger
+        # volume, so b dominates whichever side is passed first
+        a = CostScenario("a", (CapexItem("c", Money(1_000)),),
+                         OpexModel(PerInferenceRate(10)),
+                         VolumeProjection((1,)), Horizon(1, 12))
+        b = CostScenario("b", (CapexItem("c", Money(1_000)),),
+                         OpexModel(PerInferenceRate(5), Money(5)),
+                         VolumeProjection((1,)), Horizon(1, 12))
+        for x, y in ((a, b), (b, a)):
+            assert break_even(x, y) == BreakEvenResult(x.name, y.name, None, "b", "b")
 
     def test_exactly_at_crossover_is_not_yet_cheaper(self):
         # gap/advantage divides exactly: equality at V*, strictly cheaper above
