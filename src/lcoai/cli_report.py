@@ -12,13 +12,13 @@ import argparse
 import csv
 import decimal
 import io
-import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .cost_core import (
     HORIZON_LIFE,
@@ -33,6 +33,7 @@ from .cost_core import (
     _fixed_point,
     _round_div,
     compute_lcoai,
+    decimal_places,
     decimal_ratio,
     decimal_text,
     round_half_away,
@@ -88,11 +89,6 @@ def format_usd(money: Money, decimals: int = 2) -> str:
 def format_rate(rate: PerInferenceRate) -> str:
     """Per-inference rates render with 4 decimals ($0.0048 style)."""
     return format_usd(Money(rate.rate), decimals=4)
-
-
-def plain_usd(money: Money, decimals: int = 2) -> str:
-    """Bare numeric rendering for machine-readable series."""
-    return _usd_fixed_point(money, decimals, "", "")
 
 
 def _usd_fixed_point(money: Money, decimals: int, prefix: str, group: str) -> str:
@@ -169,21 +165,35 @@ def build_comparison_table(scenarios: Sequence[CostScenario],
 
 def sweep_series_csv(result: SweepResult) -> str:
     """Two-column RFC 4180 CSV of a sweep series, ready for external plotting."""
+    point_cell = _point_formatter(result.parameter, [point for point, _ in result.series])
     return _render_csv(
         (result.parameter, "lcoai_per_1000_usd"),
-        ((_point_cell(result.parameter, point), "NA" if cost is None else plain_usd(cost))
+        ((point_cell(point), "NA" if cost is None else _fixed_point(_round_div(cost.amount, 10**4), 2))
          for point, cost in result.series))
 
 
-def _point_cell(parameter: str, point) -> str:
+def _point_formatter(parameter: str, points: Sequence) -> Callable:
+    """The point-cell formatter of one series: volumes as integers, OPEX
+    rates in USD to 4 decimals, multipliers as shortest exact decimals."""
     if parameter == "volume":
-        return str(point)
+        return str
     if parameter == "opex_rate":
-        return plain_usd(Money(point.rate), decimals=4)
+        return lambda point: _fixed_point(_round_div(point.rate, 100), 4)
+    places = decimal_places(math.lcm(*(point.denominator for point in points)))
+    if not places:  # all integers, or a point such as 1/3 with no exact decimal form
+        return _multiplier_cell
+    unit = 10**places
+    # exact at the places of the series; dropping trailing zeros leaves each
+    # point's shortest text, as decimal_text writes it
+    return lambda point: _fixed_point(point.numerator * (unit // point.denominator),
+                                      places).rstrip("0").rstrip(".")
+
+
+def _multiplier_cell(point: Fraction) -> str:
     try:
         return decimal_text(point)
     except ValueError:
-        return str(point)  # e.g. a 1/3 multiplier has no exact decimal form
+        return str(point)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +476,14 @@ def _sweep_points(parameter: str, start: str, stop: str, step: str) -> list:
     count = (last - first) // delta + 1
     if count > MAX_SWEEP_POINTS:
         raise ValueError(f"the grid has {count:,} points; the limit is {MAX_SWEEP_POINTS:,}")
-    points = list(itertools.accumulate(itertools.repeat(delta, count - 1), initial=first))
+    if parameter == "volume":
+        return list(range(first, first + count * delta, delta))
     if parameter == "opex_rate":
-        return [PerInferenceRate(p) for p in points]
-    return points
+        return [PerInferenceRate(p) for p in range(first, first + count * delta, delta)]
+    # numerators over one common denominator q: start + k * step = (n0 + k * dn) / q
+    q = math.lcm(first.denominator, delta.denominator)
+    n0, dn = first.numerator * (q // first.denominator), delta.numerator * (q // delta.denominator)
+    return [Fraction(n, q) for n in range(n0, n0 + count * dn, dn)]
 
 
 def _cmd_sweep(args) -> int:

@@ -9,7 +9,9 @@ concurrent use.
 
 :class:`CompiledScenario` is the one evaluation path: ``compute_lcoai`` and
 every analysis in :mod:`lcoai.sensitivity` compile a scenario once and then
-evaluate each point with integer arithmetic.
+evaluate each point with integer arithmetic, reducing a volume vector once
+(:meth:`~CompiledScenario.volume_terms`) and finishing each point from it
+(:meth:`~CompiledScenario.combine`).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def _fixed_point(scaled: int, decimals: int, prefix: str = "", group: str = "") 
     """
     whole, frac = divmod(abs(scaled), 10**decimals)
     text = f"{'-' if scaled < 0 else ''}{prefix}{whole:{group}}"
-    return f"{text}.{frac:0{decimals}d}" if decimals else text
+    return f"{text}.{str(frac).zfill(decimals)}" if decimals else text
 
 
 def decimal_text(value: Rational) -> str:
@@ -71,13 +73,21 @@ def decimal_text(value: Rational) -> str:
     whose denominator is 2^a * 5^b; any other rational raises ValueError."""
     value = Fraction(value)
     n, d = value.numerator, value.denominator
+    places = decimal_places(d)
+    if places is None:
+        raise ValueError(f"{value} has no exact decimal representation")
+    # exact at max(a, b) places, whose last digit is never 0
+    return _fixed_point(n * 10**places // d, places)
+
+
+def decimal_places(d: int) -> Union[int, None]:
+    """Fewest decimal places that write every multiple of 1/d exactly:
+    max(a, b) for ``d = 2^a * 5^b``, and None for any other positive d."""
     twos = (d & -d).bit_length() - 1
     fives = round(math.log(d >> twos, 5))
     if 5**fives << twos != d:
-        raise ValueError(f"{value} has no exact decimal representation")
-    # exact at max(a, b) places, whose last digit is never 0
-    places = max(twos, fives)
-    return _fixed_point(n * 10**places // d, places)
+        return None
+    return max(twos, fives)
 
 
 def decimal_ratio(value: Decimal) -> tuple:
@@ -484,7 +494,11 @@ class CompiledScenario:
     where F is the fixed OPEX per period and D is sum(w_t * v_t) when the
     denominator is discounted, L * sum(v_t) otherwise. This is the
     per-period Fraction formula with its sums rearranged: the rational is the
-    same. Instances are never mutated after construction.
+    same. Evaluation is split in two: :meth:`volume_terms` reduces a volume
+    vector to ``(sum(w_t * v_t), D)`` in O(periods), and :meth:`combine`
+    finishes a point from those terms, o and C in O(1), so a series that
+    keeps its volumes computes the terms once. :meth:`evaluate` is the two
+    steps in turn. Instances are never mutated after construction.
     """
 
     __slots__ = ("scenario", "volumes", "rate", "capex", "fixed", "scale", "weights",
@@ -508,32 +522,50 @@ class CompiledScenario:
         self.discounts_denominator = policy.is_discounting and policy.discount_denominator
 
     def capex_scaled(self, k: Rational) -> int:
-        """Charged CAPEX with every item amount scaled by ``k`` and rounded
+        """Charged CAPEX with every item amount scaled by ``k > 0`` and rounded
         per item, as :meth:`Money.scaled` rounds; ``k = 1`` gives the total
         of the :func:`amortize_capex` stream."""
         p, q = k.numerator, k.denominator
-        months = self.scenario.horizon.months
-        return sum(_charged(_round_div(item.amount.amount * p, q), item.asset_life_months, months)
-                   for item in self.scenario.capex)
+        half, months = 2 * q, self.scenario.horizon.months
+        total = 0
+        for item in self.scenario.capex:
+            # amounts and k are non-negative, so half away from zero is half up
+            total += _charged((item.amount.amount * p * 2 + q) // half,
+                              item.asset_life_months, months)
+        return total
 
-    def evaluate(self, volumes: tuple, rate: int, capex: int) -> tuple:
-        """``(numerator, denominator, total_opex, per_inference)`` at one point.
+    def volume_terms(self, volumes: tuple) -> tuple:
+        """``(sum(w_t * v_t), D)`` for per-period volumes: the weighted volume
+        and the denominator of the exact cost per inference. Raises
+        :class:`~lcoai.errors.UndefinedMetricError` at zero volume."""
+        weighted = sum(map(mul, self.weights, volumes))
+        denominator = weighted if self.discounts_denominator else self.scale * sum(volumes)
+        if not denominator:
+            raise UndefinedMetricError(
+                f"scenario {self.scenario.name!r} projects zero valid inferences")
+        return weighted, denominator
+
+    def combine(self, terms: tuple, rate: int, capex: int) -> tuple:
+        """``(numerator, denominator, total_opex, per_inference)`` at one point,
+        from :meth:`volume_terms` of its volumes, its per-inference rate and
+        its charged CAPEX.
 
         The exact cost per inference is ``numerator / denominator``; the total
         OPEX and the per-inference rate are micro-dollars rounded as
         :func:`compute_lcoai` reports them (the rate from the rounded OPEX).
-        Raises :class:`~lcoai.errors.UndefinedMetricError` at zero volume.
         """
+        weighted, denominator = terms
         scale = self.scale
-        weighted = sum(map(mul, self.weights, volumes))
         opex = self.fixed * self.weight_sum + rate * weighted
-        denominator = weighted if self.discounts_denominator else scale * sum(volumes)
-        if not denominator:
-            raise UndefinedMetricError(
-                f"scenario {self.scenario.name!r} projects zero valid inferences")
-        total_opex = _round_div(opex, scale)
-        per_inference = _round_div((capex + total_opex) * scale, denominator)
-        return capex * scale + opex, denominator, total_opex, per_inference
+        # every quantity is non-negative, so half away from zero is half up
+        total_opex = (2 * opex + scale) // (2 * scale)
+        numerator = capex * scale + opex
+        per_inference = (2 * (capex + total_opex) * scale + denominator) // (2 * denominator)
+        return numerator, denominator, total_opex, per_inference
+
+    def evaluate(self, volumes: tuple, rate: int, capex: int) -> tuple:
+        """:meth:`combine` at :meth:`volume_terms` of ``volumes``."""
+        return self.combine(self.volume_terms(volumes), rate, capex)
 
 
 def compute_lcoai(scenario: CostScenario) -> LcoaiResult:

@@ -4,17 +4,19 @@ Each analysis compiles its scenarios once into a
 :class:`~lcoai.cost_core.CompiledScenario` and evaluates every point on that
 compiled form: a point is the base scenario's per-period volumes, OPEX rate
 and charged CAPEX with one of them replaced, so no scenario is derived and
-nothing is re-amortized or re-validated per point. The ``with_*`` functions
-derive whole scenarios for callers that want one; a point's value always
-equals :func:`~lcoai.cost_core.compute_lcoai` of the derived scenario. The
-base is never mutated, and points are independent.
+nothing is re-amortized or re-validated per point. A sweep that keeps the
+base volumes (``opex_rate``, ``capex_multiplier``) reduces them to their
+volume terms once and finishes each point in O(1) integer operations. The
+``with_*`` functions derive whole scenarios for callers that want one; a
+point's value always equals :func:`~lcoai.cost_core.compute_lcoai` of the
+derived scenario. The base is never mutated, and points are independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
+from operator import lt, mul
 from typing import Iterable, Literal, Optional, Union
 
 from .cost_core import (
@@ -60,24 +62,26 @@ class SweepSpec:
         if not points:
             raise ValueError("sweep needs at least one point")
         if self.parameter == "volume":
-            for p in points:
-                if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-                    raise ValueError("volume points must be non-negative integers")
-            keys = points
+            if not all(isinstance(p, int) and not isinstance(p, bool) for p in points) \
+                    or min(points) < 0:
+                raise ValueError("volume points must be non-negative integers")
+            increasing = all(map(lt, points, points[1:]))
         elif self.parameter == "opex_rate":
-            for p in points:
-                if not isinstance(p, PerInferenceRate):
-                    raise ValueError("opex points must be PerInferenceRate values")
-            keys = tuple(p.rate for p in points)
+            if not all(isinstance(p, PerInferenceRate) for p in points):
+                raise ValueError("opex points must be PerInferenceRate values")
+            rates = [p.rate for p in points]
+            increasing = all(map(lt, rates, rates[1:]))
         elif self.parameter == "capex_multiplier":
-            points = tuple(Fraction(p) for p in points)
-            for p in points:
-                if p <= 0:
-                    raise ValueError("capex multipliers must be positive")
-            keys = points
+            points = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in points)
+            nums = [p.numerator for p in points]
+            dens = [p.denominator for p in points]
+            if min(nums) <= 0:  # denominators are positive
+                raise ValueError("capex multipliers must be positive")
+            # a < b exactly when a.numerator * b.denominator < b.numerator * a.denominator
+            increasing = all(map(lt, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))
         else:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
-        if any(b <= a for a, b in zip(keys, keys[1:])):
+        if not increasing:
             raise ValueError("sweep points must be strictly increasing")
         object.__setattr__(self, "points", points)
 
@@ -94,7 +98,7 @@ class SweepResult:
     series: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "series", tuple(tuple(pair) for pair in self.series))
+        object.__setattr__(self, "series", tuple(map(tuple, self.series)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,17 +192,38 @@ def _point_inputs(kernel: CompiledScenario, parameter: str, point) -> tuple:
 
 
 def sweep(scenario: CostScenario, spec: SweepSpec) -> SweepResult:
-    """Evaluate the levelized cost across the grid of a sweep spec."""
+    """Evaluate the levelized cost across the grid of a sweep spec.
+
+    ``opex_rate`` and ``capex_multiplier`` points keep the base volumes, so
+    the series computes their volume terms once; at a zero-volume base every
+    point is undefined.
+    """
     kernel = CompiledScenario(scenario)
-    series = []
-    for point in spec.points:
+    combine, rate, capex, points = kernel.combine, kernel.rate, kernel.capex, spec.points
+    if spec.parameter == "volume":
+        volumes, volume_terms = kernel.volumes, kernel.volume_terms
+        costs = []
+        for point in points:
+            try:
+                terms = volume_terms(_rescaled(volumes, point))
+            except UndefinedMetricError:  # zero volume
+                costs.append(None)
+            else:
+                costs.append(combine(terms, rate, capex)[3])
+    else:
         try:
-            rate = kernel.evaluate(*_point_inputs(kernel, spec.parameter, point))[3]
+            terms = kernel.volume_terms(kernel.volumes)
         except UndefinedMetricError:  # zero volume
-            series.append((point, None))
+            costs = [None] * len(points)
         else:
-            series.append((point, Money(rate * 1000)))
-    return SweepResult(scenario.name, spec.parameter, tuple(series))
+            if spec.parameter == "opex_rate":
+                costs = [combine(terms, point.rate, capex)[3] for point in points]
+            else:
+                capex_scaled = kernel.capex_scaled
+                costs = [combine(terms, rate, capex_scaled(point))[3] for point in points]
+    series = tuple((point, None if cost is None else Money(cost * 1000))
+                   for point, cost in zip(points, costs))
+    return SweepResult(scenario.name, spec.parameter, series)
 
 
 def _is_analytic(scenario: CostScenario) -> bool:

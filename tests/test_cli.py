@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcoai import (
     DiscountPolicy,
@@ -24,10 +25,10 @@ from lcoai import (
     sweep_series_csv,
 )
 from lcoai.cli_report import MAX_SWEEP_POINTS, _decimal_fraction, _sweep_points, main
-from lcoai.cost_core import MAX_DECIMAL_EXPONENT, MAX_DISCOUNTED_MONTHS
+from lcoai.cost_core import MAX_DECIMAL_EXPONENT, MAX_DISCOUNTED_MONTHS, decimal_text
 from lcoai.sensitivity import MAX_SEARCH_MAX, SweepSpec, sweep
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, simple_scenario
 
 _MISSING = object()
 
@@ -365,6 +366,39 @@ class TestSweepCsv:
         lines = text.splitlines()
         assert lines[1] == "0,NA"
         assert lines[2] == "1000000,204.80"
+
+    def test_zero_volume_base_on_every_parameter(self):
+        base = simple_scenario("idle", "200000", "0.0048", (0, 0), horizon=Horizon(2, 3),
+                               discount=DiscountPolicy("wacc", Fraction(8, 100)))
+        grids = {"volume": (0, 1_000_000),
+                 "opex_rate": (PerInferenceRate(1_000), PerInferenceRate(2_000)),
+                 "capex_multiplier": (Fraction(1, 2), Fraction(1))}
+        rows = {parameter: sweep_series_csv(sweep(base, SweepSpec(parameter, points)))
+                .splitlines()[1:] for parameter, points in grids.items()}
+        assert rows["opex_rate"] == ["0.0010,NA", "0.0020,NA"]
+        assert rows["capex_multiplier"] == ["0.5,NA", "1,NA"]
+        assert rows["volume"][0] == "0,NA"
+        assert rows["volume"][1].split(",")[1] != "NA"
+
+    @pytest.mark.parametrize("points, cells", [
+        ((Fraction(1, 3),), ["1/3"]),
+        ((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)), ["1/3", "0.5", "2/3"]),
+        ((Fraction(1), Fraction(2), Fraction(10)), ["1", "2", "10"]),
+        ((Fraction(1, 2), Fraction(10), Fraction(201, 20)), ["0.5", "10", "10.05"]),
+    ])
+    def test_library_multiplier_cells(self, llama, points, cells):
+        text = sweep_series_csv(sweep(llama, SweepSpec("capex_multiplier", points)))
+        assert [line.split(",")[0] for line in text.splitlines()[1:]] == cells
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(st.integers(1, 10**9), st.integers(0, 12), st.integers(0, 12)),
+                    min_size=1, max_size=8))
+    def test_multiplier_cells_are_each_points_shortest_decimal(self, triples):
+        points = sorted({Fraction(n, 2**a * 5**b) for n, a, b in triples})
+        base = simple_scenario("s", "200000", "0.0048", 10_000_000)
+        text = sweep_series_csv(sweep(base, SweepSpec("capex_multiplier", points)))
+        assert [line.split(",")[0] for line in text.splitlines()[1:]] == [
+            decimal_text(p) for p in points]
 
 
 class TestCliCommands:

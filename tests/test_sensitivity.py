@@ -1,5 +1,6 @@
 """Sweeps, break-even volumes, and tornado summaries."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,22 @@ class TestSweepSpec:
     def test_capex_multipliers_must_be_positive(self):
         with pytest.raises(ValueError):
             SweepSpec("capex_multiplier", (Fraction(0), Fraction(1)))
+
+    def test_capex_sign_is_checked_before_order(self):
+        with pytest.raises(ValueError, match="capex multipliers must be positive"):
+            SweepSpec("capex_multiplier", (1, 0))
+
+    @pytest.mark.parametrize("points", [
+        (Fraction(1, 3), Fraction(2, 6)), (Fraction(2, 3), Fraction(3, 5)),
+        (Fraction(1, 2), Fraction(3, 4), Fraction(3, 4))])
+    def test_capex_points_must_be_strictly_increasing(self, points):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SweepSpec("capex_multiplier", points)
+
+    def test_capex_points_of_every_exact_type_become_equal_fractions(self):
+        points = SweepSpec("capex_multiplier", ("0.5", Decimal("0.75"), 1, Fraction(5, 4))).points
+        assert points == (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(5, 4))
+        assert all(type(p) is Fraction for p in points)
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
