@@ -18,10 +18,12 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .cost_core import (
     HORIZON_LIFE,
+    NO_DISCOUNT,
     CapexItem,
     CostScenario,
     DiscountPolicy,
@@ -83,18 +85,20 @@ TABLE_COLUMNS = (
 
 def format_usd(money: Money, decimals: int = 2) -> str:
     """Render with a $ sign, thousands separators, and a fixed decimal count."""
-    return _usd_fixed_point(money, decimals, "$", ",")
+    if not 0 <= decimals <= 6:
+        raise ValueError("decimals must be between 0 and 6")
+    return _usd_text(money.amount, decimals)
 
 
 def format_rate(rate: PerInferenceRate) -> str:
     """Per-inference rates render with 4 decimals ($0.0048 style)."""
-    return format_usd(Money(rate.rate), decimals=4)
+    return _usd_text(rate.rate, 4)
 
 
-def _usd_fixed_point(money: Money, decimals: int, prefix: str, group: str) -> str:
-    if not 0 <= decimals <= 6:
-        raise ValueError("decimals must be between 0 and 6")
-    return _fixed_point(_round_div(money.amount, 10 ** (6 - decimals)), decimals, prefix, group)
+def _usd_text(micro: int, decimals: int) -> str:
+    """``micro`` micro-dollars as "$1,234.57" text with ``decimals`` (0-6)
+    places, rounded half away from zero."""
+    return _fixed_point(_round_div(micro, 10 ** (6 - decimals)), decimals, "$", ",")
 
 
 def _format_percent(ratio: Fraction) -> str:
@@ -114,7 +118,7 @@ class ReportTable:
 
     def __post_init__(self):
         columns = tuple(str(c) for c in self.columns)
-        rows = tuple(tuple(str(c) for c in row) for row in self.rows)
+        rows = tuple(tuple(map(str, row)) for row in self.rows)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "rows", rows)
         if self.format not in ("markdown", "csv"):
@@ -129,13 +133,20 @@ class ReportTable:
         return _render_markdown(self.columns, self.rows)
 
 
-def _render_markdown(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    def line(cells: Sequence[str]) -> str:
-        return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
+def _markdown_cell(text: str) -> str:
+    """``\\`` and ``|`` escaped with a backslash, each line break (CR, LF or
+    CRLF) written as ``<br>``, so the cell stays on its row."""
+    text = text.replace("\\", "\\\\").replace("|", "\\|")
+    return text.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
 
-    out = [line(columns), line(["---"] * len(columns))]
-    out.extend(line(row) for row in rows)
-    return "\n".join(out) + "\n"
+
+def _render_markdown(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    lines = [columns, ["---"] * len(columns), *rows]
+    # few tables need escaping, so one scan over all cells decides it
+    text = "".join(chain.from_iterable(lines))
+    if any(special in text for special in "\\|\r\n"):
+        lines = [[_markdown_cell(c) for c in cells] for cells in lines]
+    return "".join(f"| {' | '.join(cells)} |\n" for cells in lines)
 
 
 def _render_csv(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -149,18 +160,15 @@ def _render_csv(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 def build_comparison_table(scenarios: Sequence[CostScenario],
                            fmt: str = "markdown") -> ReportTable:
     """The six-column comparison table, rows in ranking order."""
-    rows = []
-    if scenarios:
-        for row in compare(scenarios):
-            rows.append((
-                row.scenario_name,
-                format_usd(row.capex_total),
-                format_rate(row.opex_rate),
-                f"{row.volume:,}",
-                format_usd(row.opex_total),
-                format_usd(row.per_thousand),
-            ))
-    return ReportTable(TABLE_COLUMNS, tuple(rows), fmt)
+    ranked = compare(scenarios) if scenarios else ()
+    return ReportTable(TABLE_COLUMNS, ((
+        row.scenario_name,
+        _usd_text(row.capex_total.amount, 2),
+        _usd_text(row.opex_rate.rate, 4),
+        f"{row.volume:,}",
+        _usd_text(row.opex_total.amount, 2),
+        _usd_text(row.per_thousand.amount, 2),
+    ) for row in ranked), fmt)
 
 
 def sweep_series_csv(result: SweepResult) -> str:
@@ -220,15 +228,19 @@ def load_scenarios(path) -> list:
 
 
 def scenarios_from_dict(doc) -> list:
-    _require_dict(doc, "$")
+    if not isinstance(doc, dict):
+        raise ScenarioFileError("$", "must be an object")
     version = doc.get("version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioFileError(
             "version", f"unknown version {version!r} (expected {SCHEMA_VERSION})")
+    entries = doc.get("scenarios")
+    if not isinstance(entries, list):
+        raise ScenarioFileError("scenarios", "must be a list")
     scenarios = []
     seen = set()
-    for i, entry in enumerate(_require_list(doc.get("scenarios"), "scenarios")):
-        scenario = _scenario_from_dict(entry, f"scenarios[{i}]")
+    for i, entry in enumerate(entries):
+        scenario = _scenario_from_dict(entry, i)
         if scenario.name in seen:
             raise ScenarioFileError(f"scenarios[{i}].name",
                                     f"duplicate scenario name {scenario.name!r}")
@@ -237,21 +249,21 @@ def scenarios_from_dict(doc) -> list:
     return scenarios
 
 
-def _require_dict(value, path: str) -> dict:
+def _require_dict(value, field: str = "") -> dict:
     if not isinstance(value, dict):
-        raise ScenarioFileError(path, "must be an object")
+        raise FieldError(field, "must be an object")
     return value
 
 
-def _require_list(value, path: str) -> list:
+def _require_list(value, field: str = "") -> list:
     if not isinstance(value, list):
-        raise ScenarioFileError(path, "must be a list")
+        raise FieldError(field, "must be a list")
     return value
 
 
-def _require_str(value, path: str) -> str:
+def _require_str(value, field: str) -> str:
     if not isinstance(value, str):
-        raise ScenarioFileError(path, "must be a string")
+        raise FieldError(field, "must be a string")
     return value
 
 
@@ -278,43 +290,57 @@ def _decimal_fraction(text: str) -> Fraction:
     return Fraction(*decimal_ratio(value))
 
 
-def _scenario_from_dict(entry, path: str) -> CostScenario:
-    """JSON shape checks here; the domain constructors validate every value."""
-    entry = _require_dict(entry, path)
-    name = _require_str(entry.get("name"), f"{path}.name")
-    at = path  # the object being built; a FieldError names one of its fields
+def _scenario_from_dict(entry, i: int) -> CostScenario:
+    """Scenario ``scenarios[i]``: JSON shape checks here; the domain
+    constructors validate every value. A FieldError names a field of the
+    object being built: the scenario itself, or its ``section`` (capex item
+    ``j`` within ``capex``). The full path is written only to raise."""
+    section, j = "", None
     try:
+        entry = _require_dict(entry)
+        name = _require_str(entry.get("name"), "name")
+        section = "capex"
         capex = []
-        for j, raw in enumerate(_require_list(entry.get("capex", []), f"{path}.capex")):
-            at = f"{path}.capex[{j}]"
-            raw = _require_dict(raw, at)
-            capex.append(CapexItem(_require_str(raw.get("label"), f"{at}.label"),
+        for j, raw in enumerate(_require_list(entry.get("capex", []))):
+            raw = _require_dict(raw)
+            capex.append(CapexItem(_require_str(raw.get("label"), "label"),
                                    _parsed(raw, "amount_usd", Money.from_usd),
                                    raw.get("asset_life_months", HORIZON_LIFE)))
-        at = f"{path}.opex"
-        raw = _require_dict(entry.get("opex"), at)
+        section, j = "opex", None
+        raw = _require_dict(entry.get("opex"))
         opex = OpexModel(_parsed(raw, "per_inference_usd", PerInferenceRate.from_usd),
                          _parsed(raw, "fixed_per_period_usd", Money.from_usd, 0))
-        at = f"{path}.volume"
-        raw = _require_dict(entry.get("volume"), at)
-        volume = VolumeProjection(_require_list(raw.get("per_period"), f"{at}.per_period"))
-        at = f"{path}.horizon"
-        raw = _require_dict(entry.get("horizon", {}), at)
+        section = "volume"
+        raw = _require_dict(entry.get("volume"))
+        volume = VolumeProjection(_require_list(raw.get("per_period"), "per_period"))
+        section = "horizon"
+        raw = _require_dict(entry.get("horizon", {}))
         horizon = Horizon(raw.get("periods", 1), raw.get("period_length_months", 12))
-        at = f"{path}.discount"
-        raw = _require_dict(entry.get("discount", {}), at)
-        mode = raw.get("mode", "none")
-        # a rate given alongside mode "none" is unused; normalize it away
-        rate = _parsed(raw, "annual_rate", _decimal_fraction) if mode == "wacc" else None
-        discount = DiscountPolicy(mode, rate, raw.get("discount_denominator", False))
-        at = path
+        section = "discount"
+        raw = _require_dict(entry.get("discount", {}))
+        discount = NO_DISCOUNT
+        if raw:
+            mode = raw.get("mode", "none")
+            # a rate given alongside mode "none" is unused; normalize it away
+            rate = _parsed(raw, "annual_rate", _decimal_fraction) if mode == "wacc" else None
+            discount = DiscountPolicy(mode, rate, raw.get("discount_denominator", False))
+        section = ""
         return CostScenario(name, capex, opex, volume, horizon, discount)
-    except ScenarioFileError:
-        raise
     except FieldError as exc:
-        raise ScenarioFileError(f"{at}.{exc.field}", exc.message) from None
+        raise ScenarioFileError(_entry_path(i, section, j, exc.field), exc.message) from None
     except (TypeError, ValueError) as exc:
-        raise ScenarioFileError(at, str(exc)) from None
+        raise ScenarioFileError(_entry_path(i, section, j), str(exc)) from None
+
+
+def _entry_path(i: int, section: str, j: Optional[int], field: str = "") -> str:
+    """Path of ``field`` (or of the object itself) in section ``section`` of
+    ``scenarios[i]``, such as ``scenarios[2].capex[0].label``."""
+    path = f"scenarios[{i}]"
+    if section:
+        path += f".{section}"
+    if j is not None:
+        path += f"[{j}]"
+    return f"{path}.{field}" if field else path
 
 
 def scenarios_to_dict(scenarios: Iterable[CostScenario]) -> dict:

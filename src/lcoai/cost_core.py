@@ -7,8 +7,9 @@ factors are ``fractions.Fraction``. All types are immutable values and all
 operations are pure functions, so everything here is safe for unrestricted
 concurrent use.
 
-:class:`CompiledScenario` is the one evaluation path: ``compute_lcoai`` and
-every analysis in :mod:`lcoai.sensitivity` compile a scenario once and then
+:class:`CompiledScenario` is the one evaluation path: ``compute_lcoai``,
+``decision.compare`` (the ``table`` ranking) and every analysis in
+:mod:`lcoai.sensitivity` compile a scenario once and then
 evaluate each point with integer arithmetic, reducing a volume vector once
 (:meth:`~CompiledScenario.volume_terms`) and finishing each point from it
 (:meth:`~CompiledScenario.combine`).
@@ -109,17 +110,17 @@ def usd_to_micro(usd: Union[str, int, Decimal]) -> int:
     as is anything finer than micro-dollar resolution (6 decimal places) and
     any exponent outside ±:data:`MAX_DECIMAL_EXPONENT`.
     """
-    if isinstance(usd, bool):
-        raise TypeError("bool is not a USD amount")
-    if isinstance(usd, int):
-        return usd * MICRO_PER_USD
-    if isinstance(usd, float):
-        raise TypeError("float USD values are not exact; pass a str, int, or Decimal")
-    if isinstance(usd, str):
+    if isinstance(usd, str):  # what a scenario file holds, so tested first
         try:
             usd = Decimal(usd)
         except decimal.InvalidOperation as exc:
             raise ValueError(f"not a decimal amount: {usd!r}") from exc
+    elif isinstance(usd, bool):
+        raise TypeError("bool is not a USD amount")
+    elif isinstance(usd, int):
+        return usd * MICRO_PER_USD
+    elif isinstance(usd, float):
+        raise TypeError("float USD values are not exact; pass a str, int, or Decimal")
     if not isinstance(usd, Decimal):
         raise TypeError(f"cannot convert {type(usd).__name__} to micro-dollars")
     numerator, denominator = decimal_ratio(usd)
@@ -129,6 +130,14 @@ def usd_to_micro(usd: Union[str, int, Decimal]) -> int:
     return micro
 
 
+def _micro_decimal(micro: int) -> Decimal:
+    """``micro / 10**6`` as a Decimal with exponent -6. Both steps are exact:
+    ``Decimal(int)`` and a tuple constructor ignore the context's precision,
+    where ``scaleb`` would round to it."""
+    sign, digits, exponent = Decimal(micro).as_tuple()
+    return Decimal((sign, digits, exponent - 6))
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class Money:
     """An exact currency amount: an integer count of micro-dollars."""
@@ -136,7 +145,8 @@ class Money:
     amount: int
 
     def __post_init__(self):
-        if isinstance(self.amount, bool) or not isinstance(self.amount, int):
+        amount = self.amount
+        if type(amount) is not int and (isinstance(amount, bool) or not isinstance(amount, int)):
             raise TypeError("Money holds an int count of micro-dollars")
 
     @classmethod
@@ -173,8 +183,8 @@ class Money:
         return PerInferenceRate(round_half_away(Fraction(self.amount, count)))
 
     def as_usd(self) -> Decimal:
-        """Exact USD value as a Decimal."""
-        return Decimal(self.amount).scaleb(-6)
+        """Exact USD value as a Decimal, whatever the decimal context."""
+        return _micro_decimal(self.amount)
 
     def usd_string(self) -> str:
         return decimal_text(Fraction(self.amount, MICRO_PER_USD))
@@ -193,9 +203,10 @@ class PerInferenceRate:
     rate: int
 
     def __post_init__(self):
-        if isinstance(self.rate, bool) or not isinstance(self.rate, int):
+        rate = self.rate
+        if type(rate) is not int and (isinstance(rate, bool) or not isinstance(rate, int)):
             raise TypeError("PerInferenceRate holds an int count of micro-dollars")
-        if self.rate < 0:
+        if rate < 0:
             raise ValueError("per-inference rate must be non-negative")
 
     @classmethod
@@ -216,7 +227,8 @@ class PerInferenceRate:
         return PerInferenceRate(round_half_away(Fraction(self.rate) * Fraction(k)))
 
     def as_usd(self) -> Decimal:
-        return Decimal(self.rate).scaleb(-6)
+        """Exact USD value as a Decimal, whatever the decimal context."""
+        return _micro_decimal(self.rate)
 
     def usd_string(self) -> str:
         return decimal_text(Fraction(self.rate, MICRO_PER_USD))
@@ -239,8 +251,8 @@ class CapexItem:
         if not isinstance(self.label, str) or not self.label:
             raise FieldError("label", "required non-empty string")
         life = self.asset_life_months
-        if life != HORIZON_LIFE and (
-                isinstance(life, bool) or not isinstance(life, int) or life <= 0):
+        if life != HORIZON_LIFE and (type(life) is not int and (
+                isinstance(life, bool) or not isinstance(life, int)) or life <= 0):
             raise FieldError("asset_life_months", 'must be a positive integer or "horizon"')
         if self.amount.amount < 0:
             raise ValueError("CAPEX amount must be non-negative")
@@ -274,6 +286,8 @@ class VolumeProjection:
         if not entries:
             raise FieldError("per_period", "projection needs at least one period")
         for k, v in enumerate(entries):
+            if type(v) is int and v >= 0:
+                continue
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise FieldError(f"per_period[{k}]", "must be a non-negative integer")
 
@@ -290,10 +304,11 @@ class Horizon:
     period_length_months: int = 12
 
     def __post_init__(self):
-        if isinstance(self.periods, bool) or not isinstance(self.periods, int) or self.periods <= 0:
+        periods, plm = self.periods, self.period_length_months
+        if type(periods) is not int and (
+                isinstance(periods, bool) or not isinstance(periods, int)) or periods <= 0:
             raise InvalidHorizonError("horizon needs a positive period count")
-        plm = self.period_length_months
-        if isinstance(plm, bool) or not isinstance(plm, int) or plm <= 0:
+        if type(plm) is not int and (isinstance(plm, bool) or not isinstance(plm, int)) or plm <= 0:
             raise InvalidHorizonError("period length must be a positive month count")
 
     @property

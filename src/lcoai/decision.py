@@ -9,11 +9,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cost_core import (
+    CompiledScenario,
     CostScenario,
     LcoaiResult,
     Money,
     PerInferenceRate,
-    compute_lcoai,
 )
 
 
@@ -60,10 +60,15 @@ class FineTuneDecision:
 
 
 def compare(scenarios: Sequence[CostScenario]) -> list:
-    """Rank scenarios by cost per 1,000, cheapest first.
+    """Rank scenarios by cost per 1,000, cheapest first: the rows of the
+    ``table`` command.
 
     Ties break by ascending total CAPEX, then by name, so the ordering is a
-    deterministic total order. Duplicate names are an error.
+    deterministic total order. Duplicate names are an error. Each scenario is
+    compiled once and evaluated once on the kernel
+    (:class:`~lcoai.cost_core.CompiledScenario`), so the rows carry the
+    figures :func:`~lcoai.cost_core.compute_lcoai` reports, and the ranking
+    sorts on integers.
     """
     if not scenarios:
         raise ValueError("compare needs at least one scenario")
@@ -73,14 +78,15 @@ def compare(scenarios: Sequence[CostScenario]) -> list:
         raise ValueError(f"duplicate scenario names: {sorted(duplicates)}")
     rows = []
     for scenario in scenarios:
-        result = compute_lcoai(scenario)
+        kernel = CompiledScenario(scenario)
+        _, _, total_opex, rate = kernel.evaluate(kernel.volumes, kernel.rate, kernel.capex)
         rows.append(ComparisonRow(
             scenario_name=scenario.name,
             capex_total=scenario.capex_total,
             opex_rate=scenario.opex.per_inference,
-            volume=result.total_inferences,
-            opex_total=result.total_opex,
-            per_thousand=result.per_thousand,
+            volume=sum(kernel.volumes),
+            opex_total=Money(total_opex),
+            per_thousand=Money(rate * 1000),
         ))
     rows.sort(key=lambda r: (r.per_thousand.amount, r.capex_total.amount, r.scenario_name))
     return rows

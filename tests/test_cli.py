@@ -293,6 +293,23 @@ class TestSchemaRejections:
         assert main(["compute", str(path), "full"]) == 0
 
 
+def _markdown_cells(line: str) -> list:
+    """Cells of one rendered markdown row, un-escaped: split at each unescaped
+    ``|``, drop the padding space on each side, and read ``\\x`` as ``x`` and
+    ``<br>`` as a line feed."""
+    cells, cell, chars = [], "", iter(line)
+    for ch in chars:
+        if ch == "\\":
+            cell += next(chars)
+        elif ch == "|":
+            cells.append(cell)
+            cell = ""
+        else:
+            cell += ch
+    assert cells[0] == "" and cell == ""
+    return [c[1:-1].replace("<br>", "\n") for c in cells[1:]]
+
+
 class TestReportTable:
     def test_rectangularity_enforced(self):
         with pytest.raises(ValueError):
@@ -323,6 +340,23 @@ class TestReportTable:
         rendered = table.render()
         assert rendered.splitlines()[0].startswith("| Scenario |")
         assert len(rendered.splitlines()) == 2  # header + separator
+
+    @settings(max_examples=150)
+    @given(names=st.lists(st.text(alphabet="ab |\\\r\n", min_size=1, max_size=8),
+                          min_size=1, max_size=6, unique=True))
+    def test_markdown_name_cells_stay_on_their_row(self, names):
+        scenarios = [simple_scenario(name, "0", "0.01", 1_000) for name in names]
+        rendered = build_comparison_table(scenarios).render()
+        lines = rendered.splitlines()
+        assert rendered.endswith("\n") and len(lines) == len(names) + 2
+        cells = [_markdown_cells(line)[0] for line in lines[2:]]
+        # every line break comes back as the <br> it was written as
+        expected = [re.sub(r"\r\n?", "\n", name) for name in names]
+        assert sorted(cells) == sorted(expected)
+
+    def test_markdown_escapes_backslash_before_pipe(self):
+        table = ReportTable(("a", "b"), (("x\\|y", "1\r\n2\r3\n4"),))
+        assert table.render().split("\n")[2] == "| x\\\\\\|y | 1<br>2<br>3<br>4 |"
 
     def test_render_is_deterministic(self):
         scenarios = load_scenarios(FIXTURES / "table1.json")
@@ -429,6 +463,19 @@ class TestCliCommands:
         code = main(["compute", str(path), "idle"])
         assert code == 3
         assert "zero valid inferences" in capsys.readouterr().err
+
+    def test_table_with_one_zero_volume_scenario_exits_3(self, tmp_path, capsys):
+        doc = scenarios_to_dict(load_scenarios(FIXTURES / "table1.json"))
+        doc["scenarios"].insert(1, {"name": "idle", "opex": {"per_inference_usd": "0.01"},
+                                    "volume": {"per_period": [0, 0]},
+                                    "horizon": {"periods": 2, "period_length_months": 6}})
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["table", str(path)], ["--format", "csv", "table", str(path)]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: scenario 'idle' projects zero valid inferences\n"
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["compute", "no-such-file.json", "x"]) == 2

@@ -202,6 +202,22 @@ class TestDiscountFactor:
         with pytest.raises(ValueError):
             discount_factor(NO_DISCOUNT, -1)
 
+    @pytest.mark.parametrize("rate, months, t, power", [
+        # (1 + rate)^(t * months / 12) to 50 significant digits, as libmpdec
+        # computes it today; any change to that power must fail here
+        ("0.08", 3, 1, "1.0194265469082735124750748993344898541502272529569"),
+        ("0.08", 3, 5, "1.1009806706609353934730808912812490424822454331934"),
+        ("0.07", 1, 1, "1.0056541453874052770566396509761575181344065938454"),
+        ("0.105", 3, 3, "1.0777591248975729574197322631691489545717627969875"),
+    ])
+    def test_pinned_factors(self, rate, months, t, power):
+        policy = DiscountPolicy("wacc", Fraction(rate))
+        assert discount_factor(policy, t, months) == 1 / Fraction(power)
+
+    def test_whole_year_factor_is_the_exact_rational_power(self):
+        policy = DiscountPolicy("wacc", Fraction("0.08"))
+        assert discount_factor(policy, 2, 12) == Fraction(625, 729)
+
 
 class TestComputeLcoai:
     def test_gpt41_table_value(self, gpt41):

@@ -1,13 +1,17 @@
 """Rankings, baseline savings, and fine-tuning thresholds."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lcoai import (
+    HORIZON_LIFE,
     CapexItem,
+    ComparisonRow,
     CostScenario,
+    DiscountPolicy,
     Horizon,
     Money,
     OpexModel,
@@ -95,6 +99,53 @@ class TestCompare:
         original_order = [r.scenario_name for r in compare(scenarios)]
         scaled_order = [r.scenario_name for r in compare(scaled)]
         assert original_order == scaled_order
+
+
+@st.composite
+def _scenarios(draw):
+    """A scenario of 1-12 periods, discounted or not, with fixed OPEX; its
+    name is set by the test."""
+    periods = draw(st.integers(min_value=1, max_value=12))
+    horizon = Horizon(periods, draw(st.sampled_from((1, 3, 6, 12))))
+    volumes = draw(st.lists(st.integers(min_value=0, max_value=10**7),
+                            min_size=periods, max_size=periods))
+    assume(sum(volumes))
+    capex = tuple(
+        CapexItem(f"item {k}", Money(draw(st.integers(min_value=0, max_value=10**12))),
+                  draw(st.sampled_from((HORIZON_LIFE, 1, 5, 24, 60, 240))))
+        for k in range(draw(st.integers(min_value=0, max_value=3))))
+    opex = OpexModel(PerInferenceRate(draw(st.integers(min_value=0, max_value=20_000))),
+                     Money(draw(st.integers(min_value=0, max_value=10**10))))
+    rate = draw(st.sampled_from((None, "0", "0.05", "0.08", "0.105")))
+    discount = DiscountPolicy() if rate is None else DiscountPolicy(
+        "wacc", Fraction(rate), draw(st.booleans()))
+    return CostScenario("unnamed", capex, opex, VolumeProjection(volumes), horizon, discount)
+
+
+def _row_from_compute_lcoai(scenario: CostScenario) -> ComparisonRow:
+    result = compute_lcoai(scenario)
+    return ComparisonRow(scenario.name, scenario.capex_total, scenario.opex.per_inference,
+                         result.total_inferences, result.total_opex, result.per_thousand)
+
+
+class TestCompareAgainstComputeLcoai:
+    @settings(max_examples=80)
+    @given(data=st.data(), bases=st.lists(_scenarios(), min_size=1, max_size=5))
+    def test_rows_and_order(self, data, bases):
+        scenarios = []
+        for i, base in enumerate(bases):
+            # twins cost the same per 1,000: one differs only in name, the
+            # other also in raw CAPEX, through an item that charges nothing
+            # within the horizon (its share rounds to 0 micro-dollars)
+            extra = data.draw(st.integers(min_value=1, max_value=1_000))
+            idle = CapexItem("idle", Money(extra), 2 * extra * base.horizon.months + 1)
+            scenarios += [replace(base, name=f"{i}-c"),
+                          replace(base, name=f"{i}-b"),
+                          replace(base, name=f"{i}-a", capex=base.capex + (idle,))]
+        scenarios = data.draw(st.permutations(scenarios))
+        expected = sorted(map(_row_from_compute_lcoai, scenarios),
+                          key=lambda r: (r.per_thousand, r.capex_total, r.scenario_name))
+        assert compare(scenarios) == expected
 
 
 class TestBaselineSavings:

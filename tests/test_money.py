@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lcoai import Money, PerInferenceRate, round_half_away, usd_to_micro
+from lcoai import Money, PerInferenceRate, VolumeProjection, round_half_away, usd_to_micro
 from lcoai.cost_core import MAX_DECIMAL_EXPONENT, decimal_text
 
 
@@ -140,6 +140,27 @@ class TestMoney:
 
     def test_as_usd_is_exact(self):
         assert Money(4_800).as_usd() == Decimal("0.0048")
+
+    @pytest.mark.parametrize("prec", [None, 3])
+    def test_as_usd_keeps_every_digit_in_any_context(self, prec):
+        with decimal.localcontext() as ctx:
+            if prec:
+                ctx.prec = prec
+            money = Money(10**40 + 1).as_usd()
+            rate = PerInferenceRate(10**30 + 7).as_usd()
+        assert money == Decimal("10000000000000000000000000000000000.000001")
+        assert str(money) == "10000000000000000000000000000000000.000001"
+        assert str(rate) == "1000000000000000000000000.000007"
+        assert str(Money(-1_500_000).as_usd()) == "-1.500000"
+
+    def test_bool_refused_and_int_subclasses_accepted(self):
+        class Count(int):
+            pass
+
+        for build in (Money, PerInferenceRate, lambda v: VolumeProjection((v,))):
+            with pytest.raises((TypeError, ValueError)):
+                build(True)
+            build(Count(3))
 
     @pytest.mark.parametrize("micro, text", [
         (0, "0"), (4_800, "0.0048"), (-4_800, "-0.0048"), (50_000 * 10**6, "50000"),
