@@ -48,6 +48,7 @@ from .errors import (
     LogParseError,
     ScenarioFileError,
     UndefinedMetricError,
+    decoder_limit_message,
 )
 from .ingest import VolumeCount, count_valid, parse_log, parse_rfc3339
 from .sensitivity import (
@@ -223,7 +224,7 @@ def load_scenarios(path) -> list:
         except UnicodeDecodeError as exc:
             raise ScenarioFileError("$", "not valid UTF-8") from exc
         except (RecursionError, ValueError) as exc:  # too deep, or too many digits
-            raise ScenarioFileError("$", f"not valid JSON: {exc}") from None
+            raise ScenarioFileError("$", decoder_limit_message(exc)) from None
     return scenarios_from_dict(doc)
 
 
@@ -400,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lcoai",
         description="Levelized cost analysis for AI deployment scenarios.",
+        epilog="A scenario name that starts with '-' goes after '--', with every option "
+               "before it: lcoai sweep FILE --start 1 --stop 2 --step 1 -- -a_1 volume",
     )
     parser.add_argument("--format", choices=("markdown", "csv"),
                         default="markdown", help="table output format")
@@ -572,17 +575,10 @@ def _cmd_ingest(args) -> int:
         with open(args.logfile, "rb") as fh:
             parsed = parse_log(fh, strict=args.strict)
     horizon = Horizon(args.periods, args.period_months)
-    if args.start:
-        start = parse_rfc3339(args.start)
-    elif parsed.records:
-        start = min(r.timestamp for r in parsed.records)
-    else:
-        start = None
-    if start is None:
-        counts = VolumeCount(0, 0, 0, 0, {})
-    else:
-        counts = count_valid(parsed.records, horizon, start,
-                             include_failed=args.include_failed)
+    start = (parse_rfc3339(args.start) if args.start
+             else min((r.timestamp for r in parsed.records), default=None))
+    counts = (count_valid(parsed.records, horizon, start, include_failed=args.include_failed)
+              if start is not None else VolumeCount(0, 0, 0, 0, {}))
     print(f"valid={counts.valid} "
           f"excluded_nonproductive={counts.excluded_nonproductive} "
           f"excluded_failed={counts.excluded_failed} "

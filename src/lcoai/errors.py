@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 class LcoaiError(Exception):
     """Base class for all errors raised by this package."""
@@ -49,3 +51,12 @@ class ScenarioFileError(LcoaiError, ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def decoder_limit_message(exc: Exception) -> str:
+    """The same words on every Python for JSON too deep or with an integer
+    too long to decode (the RecursionError or ValueError it raised)."""
+    if isinstance(exc, RecursionError):
+        return "not valid JSON: nested deeper than the recursion limit"
+    return (f"not valid JSON: an integer exceeds the limit "
+            f"({sys.get_int_max_str_digits()} digits) for integer string conversion")

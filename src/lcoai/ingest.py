@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Iterable, Optional, Union
 
 from .cost_core import Horizon
-from .errors import LogParseError
+from .errors import LogParseError, decoder_limit_message
 
 
 class RecordKind(Enum):
@@ -158,7 +158,7 @@ def _parse_line(raw: Union[bytes, str], line_number: int) -> Optional[InferenceR
         except json.JSONDecodeError as exc:
             raise LogParseError(line_number, f"not valid JSON: {exc.msg}") from exc
         except (RecursionError, ValueError) as exc:  # too deep, or too many digits
-            raise LogParseError(line_number, f"not valid JSON: {exc}") from None
+            raise LogParseError(line_number, decoder_limit_message(exc)) from None
     if not isinstance(obj, dict):
         raise LogParseError(line_number, "each line must be a JSON object")
     ts, kind, status = obj.get("ts"), obj.get("kind"), obj.get("status")
@@ -246,11 +246,11 @@ def count_valid(records: Iterable, horizon: Horizon, start: datetime,
     """
     if start.tzinfo is None:
         raise ValueError("start must be timezone-aware")
-    boundaries = _month_boundaries(start, horizon.months)
-    # per_month[i] counts productive records with i - 1 whole months elapsed;
-    # 0 is before start and, when the list was not cut at datetime.max,
-    # len(boundaries) is at or past the horizon's end
-    per_month = [0] * (len(boundaries) + 1)
+    edges = _month_boundaries(start, horizon.months)[::horizon.period_length_months]
+    # per_period[i] counts productive records in period i - 1; 0 is before start
+    # and, when the boundaries were not cut at datetime.max, len(edges) is at or
+    # past the horizon's end
+    per_period = [0] * (len(edges) + 1)
     nonproductive = failed = 0
     for record in records:
         if record.kind is not RecordKind.INFERENCE:
@@ -258,14 +258,8 @@ def count_valid(records: Iterable, horizon: Horizon, start: datetime,
         elif record.status is not RecordStatus.OK and not include_failed:
             failed += 1
         else:
-            per_month[bisect_right(boundaries, record.timestamp)] += 1
-    in_range = min(horizon.months, len(boundaries))
-    buckets: dict = {}
-    for month in range(in_range):
-        n = per_month[month + 1]
-        if n:
-            period = month // horizon.period_length_months
-            buckets[period] = buckets.get(period, 0) + n
+            per_period[bisect_right(edges, record.timestamp)] += 1
+    buckets = {period: n for period, n in enumerate(per_period[1:horizon.periods + 1]) if n}
     valid = sum(buckets.values())
-    out_of_range = sum(per_month) - valid
+    out_of_range = sum(per_period) - valid
     return VolumeCount(valid, nonproductive, failed, out_of_range, buckets)

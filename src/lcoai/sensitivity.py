@@ -4,9 +4,10 @@ Each analysis compiles its scenarios once into a
 :class:`~lcoai.cost_core.CompiledScenario` and evaluates every point on that
 compiled form: a point is the base scenario's per-period volumes, OPEX rate
 and charged CAPEX with one of them replaced, so no scenario is derived and
-nothing is re-amortized or re-validated per point. A sweep that keeps the
-base volumes (``opex_rate``, ``capex_multiplier``) reduces them to their
-volume terms once and finishes each point in O(1) integer operations. The
+nothing is re-amortized or re-validated per point. Sweeps and tornado map
+a parameter and its points to costs through one series function; a series
+that keeps the base volumes (``opex_rate``, ``capex_multiplier``) reduces
+them to their volume terms once and finishes each point in O(1). The
 ``with_*`` functions derive whole scenarios for callers that want one; a
 point's value always equals :func:`~lcoai.cost_core.compute_lcoai` of the
 derived scenario. The base is never mutated, and points are independent.
@@ -182,25 +183,12 @@ def with_capex_scaled(scenario: CostScenario, k: Rational) -> CostScenario:
     return replace(scenario, capex=items)
 
 
-def _point_inputs(kernel: CompiledScenario, parameter: str, point) -> tuple:
-    """(volumes, rate, capex) of the kernel's scenario with one parameter set."""
+def _series(kernel: CompiledScenario, parameter: str, points) -> list:
+    """Rounded cost per inference (micro-dollars) at each of one parameter's
+    points, ``None`` where the volume is zero. ``opex_rate`` and
+    ``capex_multiplier`` points keep the base volumes and reduce them once."""
+    combine, rate, capex = kernel.combine, kernel.rate, kernel.capex
     if parameter == "volume":
-        return _rescaled(kernel.volumes, point), kernel.rate, kernel.capex
-    if parameter == "opex_rate":
-        return kernel.volumes, point.rate, kernel.capex
-    return kernel.volumes, kernel.rate, kernel.capex_scaled(point)
-
-
-def sweep(scenario: CostScenario, spec: SweepSpec) -> SweepResult:
-    """Evaluate the levelized cost across the grid of a sweep spec.
-
-    ``opex_rate`` and ``capex_multiplier`` points keep the base volumes, so
-    the series computes their volume terms once; at a zero-volume base every
-    point is undefined.
-    """
-    kernel = CompiledScenario(scenario)
-    combine, rate, capex, points = kernel.combine, kernel.rate, kernel.capex, spec.points
-    if spec.parameter == "volume":
         volumes, volume_terms = kernel.volumes, kernel.volume_terms
         costs = []
         for point in points:
@@ -210,19 +198,22 @@ def sweep(scenario: CostScenario, spec: SweepSpec) -> SweepResult:
                 costs.append(None)
             else:
                 costs.append(combine(terms, rate, capex)[3])
-    else:
-        try:
-            terms = kernel.volume_terms(kernel.volumes)
-        except UndefinedMetricError:  # zero volume
-            costs = [None] * len(points)
-        else:
-            if spec.parameter == "opex_rate":
-                costs = [combine(terms, point.rate, capex)[3] for point in points]
-            else:
-                capex_scaled = kernel.capex_scaled
-                costs = [combine(terms, rate, capex_scaled(point))[3] for point in points]
+        return costs
+    try:
+        terms = kernel.volume_terms(kernel.volumes)
+    except UndefinedMetricError:  # zero volume
+        return [None] * len(points)
+    if parameter == "opex_rate":
+        return [combine(terms, point.rate, capex)[3] for point in points]
+    return [combine(terms, rate, kernel.capex_scaled(point))[3] for point in points]
+
+
+def sweep(scenario: CostScenario, spec: SweepSpec) -> SweepResult:
+    """Evaluate the levelized cost across the grid of a sweep spec (``None``
+    at each point where the volume is zero)."""
+    costs = _series(CompiledScenario(scenario), spec.parameter, spec.points)
     series = tuple((point, None if cost is None else Money(cost * 1000))
-                   for point, cost in zip(points, costs))
+                   for point, cost in zip(spec.points, costs))
     return SweepResult(scenario.name, spec.parameter, series)
 
 
@@ -276,7 +267,8 @@ def _break_even(a: CostScenario, b: CostScenario, search_max: int,
                 analytic: bool) -> BreakEvenResult:
     def exact(kernel: CompiledScenario, volume: int) -> tuple:
         # (numerator, denominator) of the exact cost per inference at a volume
-        return kernel.evaluate(*_point_inputs(kernel, "volume", volume))[:2]
+        return kernel.evaluate(_rescaled(kernel.volumes, volume), kernel.rate,
+                               kernel.capex)[:2]
 
     def diff(x: CompiledScenario, y: CompiledScenario, volume: int) -> int:
         # has the sign of x's cost minus y's: both denominators are positive
@@ -354,22 +346,18 @@ def tornado(scenario: CostScenario, swing: Rational,
     if unknown:
         raise ValueError(f"unknown tornado parameters: {sorted(unknown)}")
     kernel = CompiledScenario(scenario)
+    ks = (1 - swing, 1 + swing)
+    total, rate = scenario.volume.total, scenario.opex.per_inference
+    points = {"capex": ("capex_multiplier", ks),
+              "opex_rate": ("opex_rate", [rate.scaled(k) for k in ks]),
+              "volume": ("volume", [round_half_away(total * k) for k in ks])}
     entries = []
     for parameter in TORNADO_PARAMETERS:
-        if parameter not in chosen:
-            continue
-        low = _tornado_point(kernel, parameter, 1 - swing)
-        high = _tornado_point(kernel, parameter, 1 + swing)
-        entries.append(TornadoEntry(parameter, low, high))
+        if parameter in chosen:
+            low, high = _series(kernel, *points[parameter])
+            if low is None or high is None:
+                raise UndefinedMetricError(
+                    f"scenario {scenario.name!r} projects zero valid inferences")
+            entries.append(TornadoEntry(parameter, Money(low * 1000), Money(high * 1000)))
     entries.sort(key=lambda e: (-e.spread.amount, e.parameter))
     return entries
-
-
-def _tornado_point(kernel: CompiledScenario, parameter: str, k: Fraction) -> Money:
-    if parameter == "opex_rate":
-        point = kernel.scenario.opex.per_inference.scaled(k)
-    elif parameter == "volume":
-        point = round_half_away(kernel.scenario.volume.total * k)
-    else:
-        point = k
-    return Money(kernel.evaluate(*_point_inputs(kernel, parameter, point))[3] * 1000)

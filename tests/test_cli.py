@@ -42,6 +42,8 @@ _FULL_SCENARIO = {
     "discount": {"mode": "wacc", "annual_rate": "0.105", "discount_denominator": True},
 }
 
+_NO_RECORDS = "valid=0 excluded_nonproductive=0 excluded_failed=0 out_of_range=0\n"
+
 _BAD_VALUES = {"null": None, "bool": True, "float": 1.5, "empty": "", "negative": -1,
                "list": [], "object": {}, "text": "x", "missing": _MISSING}
 
@@ -696,11 +698,58 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "line 2: not valid JSON:" in err and reason in err
 
+    def test_json_the_decoder_cannot_hold_is_worded_the_same_on_every_python(
+            self, tmp_path, capsys):
+        deep, digits = tmp_path / "deep.json", tmp_path / "digits.json"
+        deep.write_text("[" * 100_000)
+        digits.write_text("[" + "9" * 4_301 + "]")
+        for path, words in [
+                (deep, "nested deeper than the recursion limit"),
+                (digits, "an integer exceeds the limit (4300 digits) for integer string conversion")]:
+            assert main(["table", str(path)]) == 4
+            assert capsys.readouterr().err == f"error: $: not valid JSON: {words}\n"
+            assert main(["--strict", "ingest", str(path)]) == 4
+            assert capsys.readouterr().err == f"error: line 1: not valid JSON: {words}\n"
+
     @pytest.mark.parametrize("start", ["9999-12-31T23:00:00-05:00", "0001-01-01T00:00:00+01:00"])
     def test_ingest_start_out_of_range_exits_1(self, start, capsys):
         code = main(["ingest", str(FIXTURES / "telemetry_sample.jsonl"), "--start", start])
         assert code == 1
         assert "outside years 1-9999" in capsys.readouterr().err
+
+    def test_ingest_empty_log_without_start_counts_nothing(self, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        path.write_text("")
+        assert main(["ingest", str(path)]) == 0
+        assert capsys.readouterr().out == _NO_RECORDS
+
+    def test_ingest_malformed_lines_only_without_start_counts_nothing(self, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        path.write_text('not json\n{"ts": "2025-01-01T00:00:00Z", "kind": "warmup"}\n')
+        assert main(["ingest", str(path)]) == 0
+        assert capsys.readouterr().out == _NO_RECORDS + "skipped_malformed=2\n"
+        assert main(["--strict", "ingest", str(path)]) == 4
+
+    @pytest.fixture
+    def dash_named(self, tmp_path):
+        path = tmp_path / "dash.json"
+        path.write_text(json.dumps({"version": 1,
+                                    "scenarios": [dict(_FULL_SCENARIO, name="-a_1")]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ["compute", "{file}", "--", "-a_1"],
+        ["baseline", "{file}", "--baseline", "300", "--", "-a_1"],
+        ["sweep", "{file}", "--start", "1", "--stop", "2", "--step", "1", "--", "-a_1", "volume"],
+    ], ids=["compute", "baseline", "sweep"])
+    def test_dash_leading_name_after_double_dash(self, command, dash_named, capsys):
+        assert main([arg.format(file=dash_named) for arg in command]) == 0
+        out = capsys.readouterr().out
+        if command[0] == "compute":
+            assert out.startswith("scenario: -a_1\n")
+
+    def test_dash_leading_name_without_double_dash_is_a_usage_error(self, dash_named, capsys):
+        assert main(["compute", dash_named, "-a_1"]) == 1
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

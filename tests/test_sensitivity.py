@@ -16,6 +16,7 @@ from lcoai import (
     OpexModel,
     PerInferenceRate,
     SweepSpec,
+    UndefinedMetricError,
     VolumeProjection,
     break_even,
     compute_lcoai,
@@ -434,3 +435,19 @@ class TestTornado:
     def test_unknown_parameter_rejected(self, llama):
         with pytest.raises(ValueError):
             tornado(llama, Fraction(1, 10), {"latency"})
+
+    def test_volume_swing_rounding_to_zero_is_undefined(self):
+        # round_half_away(1 * 2/5) == 0, so the low volume point has no inferences
+        single = simple_scenario("single", "100", "0.01", 1)
+        with pytest.raises(UndefinedMetricError,
+                           match="'single' projects zero valid inferences"):
+            tornado(single, Fraction(3, 5), {"volume"})
+
+    def test_zero_volume_base_is_undefined(self):
+        idle = simple_scenario("idle", "100", "0.01", 0)
+        with pytest.raises(UndefinedMetricError,
+                           match="'idle' projects zero valid inferences"):
+            tornado(idle, Fraction(1, 10))
+
+    def test_no_parameters_on_a_zero_volume_base_is_empty(self):
+        assert tornado(simple_scenario("idle", "100", "0.01", 0), Fraction(1, 10), ()) == []
