@@ -48,6 +48,7 @@ from .errors import (
     LogParseError,
     ScenarioFileError,
     UndefinedMetricError,
+    decode_error_message,
     decoder_limit_message,
 )
 from .ingest import VolumeCount, count_valid, parse_log, parse_rfc3339
@@ -219,8 +220,8 @@ def load_scenarios(path) -> list:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ScenarioFileError("$", f"not valid JSON: {exc.msg} "
-                                         f"(line {exc.lineno})") from exc
+            message, line = decode_error_message(exc)
+            raise ScenarioFileError("$", f"{message} (line {line})") from exc
         except UnicodeDecodeError as exc:
             raise ScenarioFileError("$", "not valid UTF-8") from exc
         except (RecursionError, ValueError) as exc:  # too deep, or too many digits

@@ -464,6 +464,18 @@ def amortize_capex(items: Iterable[CapexItem], horizon: Horizon) -> list:
     return [Money(c) for c in charges]
 
 
+# discount_factor's decimal steps: 50 digits, half-even and the default traps,
+# independent of the caller's context (its flags are set but never read)
+_POWER_DIGITS = 50
+_POWER_CONTEXT = decimal.Context(
+    prec=_POWER_DIGITS, rounding=decimal.ROUND_HALF_EVEN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow])
+
+# _root_power scales the power by 10^_ROOT_SCALE, so that its floor keeps at
+# least ten digits past the 50 it rounds to (the power is at least 1)
+_ROOT_SCALE = _POWER_DIGITS + 10
+
+
 def discount_factor(policy: DiscountPolicy, period_index: int,
                     period_length_months: int = 12) -> Fraction:
     """Present-value factor for one period's cash flows.
@@ -474,11 +486,18 @@ def discount_factor(policy: DiscountPolicy, period_index: int,
 
     What "exact" means here: a whole-year exponent gives the exact rational
     power. A non-integral exponent (a period grid that misses year
-    boundaries, such as quarters) is evaluated to 50 significant digits, and
-    the factor is the exact Fraction of that decimal power, so results stay
-    deterministic. Every result downstream is the exact rational that
-    follows from these factors; :class:`CompiledScenario` only rearranges
-    the sums over them and yields the same rational.
+    boundaries, such as quarters) raises b, 1+annual_rate rounded to 50
+    significant digits, to y and rounds that power half-even to 50
+    significant digits; the factor is the exact Fraction of 1 over the
+    rounded power, so results stay deterministic. Quarter- and half-year
+    exponents take the power from integer square roots (:func:`_root_power`),
+    which round it correctly. Other exponents (thirds, sixths and twelfths
+    of a year) use ``Decimal`` ``**``, which is only "almost always"
+    correctly rounded; both give the same 50-digit power, and the unit tests
+    pin factors from each. Every decimal step runs in one fixed context,
+    whatever the caller's. Every result downstream is the exact
+    rational that follows from these factors; :class:`CompiledScenario`
+    only rearranges the sums over them and yields the same rational.
     """
     if period_index < 0:
         raise ValueError("period_index starts at 0 (commissioning)")
@@ -486,13 +505,39 @@ def discount_factor(policy: DiscountPolicy, period_index: int,
         return Fraction(1)
     years = Fraction(period_index * period_length_months, 12)
     base = 1 + policy.annual_rate
-    if years.denominator == 1:
-        return Fraction(1) / base ** years.numerator
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        b = Decimal(base.numerator) / Decimal(base.denominator)
-        y = Decimal(years.numerator) / Decimal(years.denominator)
-        return Fraction(1) / Fraction(b**y)
+    n, k = years.numerator, years.denominator
+    if k == 1:
+        return Fraction(1) / base ** n
+    b = _POWER_CONTEXT.divide(Decimal(base.numerator), Decimal(base.denominator))
+    bn, bd = b.as_integer_ratio()
+    if k in (2, 4):
+        return Fraction(10**_ROOT_SCALE, _root_power(bn, bd, n, k))
+    y = _POWER_CONTEXT.divide(Decimal(n), Decimal(k))
+    return Fraction(1) / Fraction(_POWER_CONTEXT.power(b, y))
+
+
+def _root_power(bn: int, bd: int, n: int, k: int) -> int:
+    """(bn/bd)^(n/k) * 10^_ROOT_SCALE for k = 2 or 4 and bn >= bd > 0, with
+    the power rounded half-even to 50 significant digits.
+
+    The scaled root of the exact ratio bn^n/bd^n is floored by one integer
+    square root (two for k = 4); the 50 leading digits of that floor are
+    then rounded, and the one case its digits leave open (a remainder of
+    exactly half) is settled by comparing exact integers.
+    """
+    num, den = bn**n, bd**n
+    scaled = num * 10**(k * _ROOT_SCALE)
+    root = math.isqrt(scaled // den)
+    if k == 4:
+        root = math.isqrt(root)
+    # Decimal(root) counts digits without str(), so the interpreter's
+    # integer-string limit plays no part
+    unit = 10**(Decimal(root).adjusted() + 1 - _POWER_DIGITS)
+    q, rest = divmod(root, unit)
+    half = unit // 2
+    if rest > half or rest == half and (q & 1 or root**k * den != scaled):
+        q += 1
+    return q * unit
 
 
 class CompiledScenario:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 
 
@@ -60,3 +61,31 @@ def decoder_limit_message(exc: Exception) -> str:
         return "not valid JSON: nested deeper than the recursion limit"
     return (f"not valid JSON: an integer exceeds the limit "
             f"({sys.get_int_max_str_digits()} digits) for integer string conversion")
+
+
+# json's words and position for a comma just before a closing bracket on
+# Pythons before 3.13, which point at the bracket
+_TRAILING_COMMA_BEFORE = {("Expecting property name enclosed in double quotes", "}"),
+                          ("Expecting value", "]")}
+
+
+def decode_error_message(exc: json.JSONDecodeError) -> tuple:
+    """``(message, line)`` for a JSONDecodeError, the same on every Python.
+
+    The words are the decoder's, except for a trailing comma (``{"a": 1,}``,
+    ``[1,]``): Python 3.13 reports that as an "Illegal trailing comma" at
+    the comma, earlier Pythons as "Expecting ..." at the bracket, so it is
+    worded here and placed on the comma's line.
+    """
+    doc, pos, msg = exc.doc, exc.pos, exc.msg
+    if msg.startswith("Illegal trailing comma"):
+        comma = pos
+    elif (msg, doc[pos:pos + 1]) in _TRAILING_COMMA_BEFORE:
+        comma = len(doc[:pos].rstrip(" \t\n\r")) - 1
+    else:
+        comma = -1
+    if comma < 0 or doc[comma] != ",":
+        return f"not valid JSON: {msg}", exc.lineno
+    kind = "array" if doc[comma + 1:].lstrip(" \t\n\r").startswith("]") else "object"
+    return (f"not valid JSON: trailing comma before the end of an {kind}",
+            doc.count("\n", 0, comma) + 1)

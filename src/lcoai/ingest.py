@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Iterable, Optional, Union
 
 from .cost_core import Horizon
-from .errors import LogParseError, decoder_limit_message
+from .errors import LogParseError, decode_error_message, decoder_limit_message
 
 
 class RecordKind(Enum):
@@ -156,7 +156,7 @@ def _parse_line(raw: Union[bytes, str], line_number: int) -> Optional[InferenceR
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise LogParseError(line_number, f"not valid JSON: {exc.msg}") from exc
+            raise LogParseError(line_number, decode_error_message(exc)[0]) from exc
         except (RecursionError, ValueError) as exc:  # too deep, or too many digits
             raise LogParseError(line_number, decoder_limit_message(exc)) from None
     if not isinstance(obj, dict):

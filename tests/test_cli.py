@@ -711,6 +711,22 @@ class TestCliCommands:
             assert main(["--strict", "ingest", str(path)]) == 4
             assert capsys.readouterr().err == f"error: line 1: not valid JSON: {words}\n"
 
+    def test_trailing_comma_is_worded_the_same_on_every_python(self, tmp_path, capsys):
+        # Python 3.13's json words these differently and points at the comma
+        scenarios = tmp_path / "s.json"
+        scenarios.write_text('{"version": 1,\n "scenarios": [],\n}\n')
+        assert main(["table", str(scenarios)]) == 4
+        assert capsys.readouterr().err == (
+            "error: $: not valid JSON: trailing comma before the end of an object (line 2)\n")
+        log = tmp_path / "log.jsonl"
+        for line, kind in [('{"ts": "2025-01-01T00:00:00Z", "kind": "inference",}', "object"),
+                           ("[1, ]", "array")]:
+            log.write_text(f'{{"ts": "2025-01-01T00:00:01Z", "kind": "inference", "status": "ok"}}\n'
+                           f"{line}\n")
+            assert main(["--strict", "ingest", str(log)]) == 4
+            assert capsys.readouterr().err == (
+                f"error: line 2: not valid JSON: trailing comma before the end of an {kind}\n")
+
     @pytest.mark.parametrize("start", ["9999-12-31T23:00:00-05:00", "0001-01-01T00:00:00+01:00"])
     def test_ingest_start_out_of_range_exits_1(self, start, capsys):
         code = main(["ingest", str(FIXTURES / "telemetry_sample.jsonl"), "--start", start])

@@ -1,5 +1,8 @@
 """Amortization, discounting, and the core levelized-cost computation."""
 
+import decimal
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -27,6 +30,42 @@ from lcoai import (
 from lcoai.cost_core import MAX_DISCOUNTED_MONTHS
 
 from conftest import simple_scenario
+
+
+def reference_factor(policy: DiscountPolicy, period_index: int,
+                     period_length_months: int = 12) -> Fraction:
+    """discount_factor as it was when every non-whole-year power came from
+    Decimal ``**``: the reference for the integer-root path."""
+    if period_index < 0:
+        raise ValueError("period_index starts at 0 (commissioning)")
+    if not policy.is_discounting or period_index == 0:
+        return Fraction(1)
+    years = Fraction(period_index * period_length_months, 12)
+    base = 1 + policy.annual_rate
+    if years.denominator == 1:
+        return Fraction(1) / base ** years.numerator
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        b = Decimal(base.numerator) / Decimal(base.denominator)
+        y = Decimal(years.numerator) / Decimal(years.denominator)
+        return Fraction(1) / Fraction(b**y)
+
+
+# annual rates as decimal text of 1-15 digits in [0, 1), and library rates
+# whose 1+rate has no short decimal
+_RATES = st.one_of(
+    st.integers(1, 15).flatmap(lambda digits: st.integers(0, 10**digits - 1).map(
+        lambda n: Fraction(f"0.{n:0{digits}d}"))),
+    st.sampled_from([Fraction(1, 3), Fraction(2, 7), Fraction(99, 100), Fraction(1, 10**92)]),
+)
+
+
+@st.composite
+def _factor_cases(draw):
+    """(rate, period length, period index) with the horizon within the cap;
+    quarter and half-year grids drawn often, so the integer roots are hit."""
+    months = draw(st.one_of(st.sampled_from([3, 6, 9, 18]), st.integers(1, 24)))
+    return draw(_RATES), months, draw(st.integers(1, MAX_DISCOUNTED_MONTHS // months))
 
 
 class TestTypeInvariants:
@@ -209,10 +248,63 @@ class TestDiscountFactor:
         ("0.08", 3, 5, "1.1009806706609353934730808912812490424822454331934"),
         ("0.07", 1, 1, "1.0056541453874052770566396509761575181344065938454"),
         ("0.105", 3, 3, "1.0777591248975729574197322631691489545717627969875"),
+        ("0.08", 6, 1, "1.0392304845413263761164678049035234201656831522862"),
+        ("0.08", 9, 1, "1.0594191442977762643286322026753416203065283737202"),
+        ("0.08", 3, 399, "2157.8418406041534394597473066662137720644208676240"),
+        # a 50-digit base at the cap's last odd quarter: the root path's
+        # largest exact integers
+        ("1/3", 3, 399, "2901609581534.3867593762969552126692981526251627601"),
+        # exact powers with a 51st digit of 5: half-even keeps an even 50th
+        # digit and raises an odd one
+        ("0.1025", 6, 25, "3.3863549408993848167083336666837364435195922851562"),
+        ("0.00000000300000000225", 6, 5, "1.0000000075000000225000000337500000253125000075938"),
+        ("0.0000000060000000135000000135000000050625", 3, 5,
+         "1.0000000075000000225000000337500000253125000075938"),
     ])
     def test_pinned_factors(self, rate, months, t, power):
         policy = DiscountPolicy("wacc", Fraction(rate))
         assert discount_factor(policy, t, months) == 1 / Fraction(power)
+
+    def test_exact_half_year_root(self):
+        # 1.21^(1/2) = 1.1 exactly
+        assert discount_factor(DiscountPolicy("wacc", Fraction("0.21")), 1, 6) == Fraction(10, 11)
+
+    def test_caller_decimal_context_is_ignored(self):
+        cases = [(Fraction("0.08"), 1, 3), (Fraction("0.08"), 1, 6), (Fraction(1, 3), 1, 3),
+                 (Fraction(1, 3), 5, 6), (Fraction(1, 3), 1, 1), (Fraction("0.07"), 1, 1)]
+        expected = [discount_factor(DiscountPolicy("wacc", rate), t, months)
+                    for rate, t, months in cases]
+        with decimal.localcontext() as ctx:
+            ctx.traps[decimal.Inexact] = True
+            ctx.rounding = decimal.ROUND_CEILING
+            ctx.prec = 3
+            got = [discount_factor(DiscountPolicy("wacc", rate), t, months)
+                   for rate, t, months in cases]
+        assert got == expected
+        assert expected[0] == 1 / Fraction("1.0194265469082735124750748993344898541502272529569")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no integer-string limit on this interpreter")
+    def test_factor_ignores_the_integer_string_limit(self):
+        # the largest quarter- and half-year powers: a 50-digit base close to
+        # 2 over the last periods of the 1,200-month cap
+        policy = DiscountPolicy("wacc", Fraction(10**50 - 1, 10**50))
+        cases = [(399, 3), (199, 6)]
+        expected = [reference_factor(policy, t, months) for t, months in cases]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = [discount_factor(policy, t, months) for t, months in cases]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_factor_cases())
+    def test_matches_the_decimal_power_reference(self, case):
+        rate, months, t = case
+        policy = DiscountPolicy("wacc", rate)
+        assert discount_factor(policy, t, months) == reference_factor(policy, t, months)
 
     def test_whole_year_factor_is_the_exact_rational_power(self):
         policy = DiscountPolicy("wacc", Fraction("0.08"))

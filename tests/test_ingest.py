@@ -390,7 +390,10 @@ class TestJsonScan:
         try:
             value = json.loads(line.strip())
         except json.JSONDecodeError as exc:
-            assert [str(e) for e in result.skipped] == [f"line 1: not valid JSON: {exc.msg}"]
+            # a trailing comma gets lcoai's words: json's differ on Python 3.13
+            words = ("trailing comma before the end of an object" if line == _line(extra=",")
+                     else exc.msg)
+            assert [str(e) for e in result.skipped] == [f"line 1: not valid JSON: {words}"]
             return
         messages = [str(e) for e in result.skipped]
         if not isinstance(value, dict):

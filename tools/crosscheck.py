@@ -110,12 +110,24 @@ def corpus(tmp: Path) -> list:
         ("limit digits in log, strict", cli + ["--strict", "ingest", str(digits_log)]),
     ]
 
-    # WACC scenarios at the discount factors pinned in the unit tests
-    for rate, periods, months in (("0.08", 20, 3), ("0.07", 12, 1), ("0.105", 4, 3)):
+    # JSON that Python 3.13 words differently from earlier Pythons
+    comma_file, comma_log = tmp / "comma.json", tmp / "comma.jsonl"
+    comma_file.write_text('{"version": 1,\n "scenarios": [],\n}\n')
+    comma_log.write_text(_INFERENCE + "[1, ]\n")
+    cases += [
+        ("trailing comma in file", cli + ["table", str(comma_file)]),
+        ("trailing comma in log, strict", cli + ["--strict", "ingest", str(comma_log)]),
+    ]
+
+    # WACC scenarios at the discount factors pinned in the unit tests, on
+    # quarter, half-year, 9-month and monthly grids, one of them 400 quarters
+    for rate, periods, months in (("0.08", 20, 3), ("0.07", 12, 1), ("0.105", 4, 3),
+                                  ("0.08", 10, 6), ("0.08", 8, 9), ("0.08", 400, 3),
+                                  ("0.21", 4, 6)):
         for denominator in (False, True):
-            path = _scenario_file(tmp, f"wacc-{rate}-{months}-{denominator}.json",
+            path = _scenario_file(tmp, f"wacc-{rate}-{periods}x{months}-{denominator}.json",
                                   **_wacc(rate, periods, months, denominator))
-            cases.append((f"wacc {rate} {months}-month denominator={denominator}",
+            cases.append((f"wacc {rate} {periods}x{months}-month denominator={denominator}",
                           cli + ["compute", path, "s"]))
 
     # table1.json in every scenario order and under several hash seeds
