@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -36,8 +34,8 @@ from .cost_core import (
     _round_div,
     compute_lcoai,
     decimal_places,
-    decimal_ratio,
     decimal_text,
+    exact_ratio,
     round_half_away,
     usd_to_micro,
 )
@@ -271,25 +269,10 @@ def _require_str(value, field: str) -> str:
 
 def _parsed(obj: dict, key: str, parse, default=None):
     """``parse(obj[key])``, with a conversion error reported at ``key``."""
-    raw = obj.get(key, default)
     try:
-        if isinstance(raw, float):
-            raise TypeError("write a decimal string, not a JSON float")
-        return parse(raw)
+        return parse(obj.get(key, default))
     except (TypeError, ValueError) as exc:
         raise FieldError(key, str(exc)) from None
-
-
-def _decimal_fraction(text: str) -> Fraction:
-    """Exact value of finite decimal text such as "0.08" or "1.5", with an
-    exponent in scientific notation within ±MAX_DECIMAL_EXPONENT."""
-    if not isinstance(text, str):
-        raise TypeError("must be a decimal string")
-    try:
-        value = Decimal(text)
-    except decimal.InvalidOperation:
-        raise ValueError(f"not a decimal value: {text!r}") from None
-    return Fraction(*decimal_ratio(value))
 
 
 def _scenario_from_dict(entry, i: int) -> CostScenario:
@@ -324,7 +307,9 @@ def _scenario_from_dict(entry, i: int) -> CostScenario:
         if raw:
             mode = raw.get("mode", "none")
             # a rate given alongside mode "none" is unused; normalize it away
-            rate = _parsed(raw, "annual_rate", _decimal_fraction) if mode == "wacc" else None
+            rate = raw.get("annual_rate") if mode == "wacc" else None
+            if mode == "wacc" and not isinstance(rate, str):
+                raise FieldError("annual_rate", "must be a decimal string")
             discount = DiscountPolicy(mode, rate, raw.get("discount_denominator", False))
         section = ""
         return CostScenario(name, capex, opex, volume, horizon, discount)
@@ -498,7 +483,7 @@ def _sweep_points(parameter: str, start: str, stop: str, step: str) -> list:
     elif parameter == "opex_rate":
         first, last, delta = (usd_to_micro(v) for v in (start, stop, step))
     else:
-        first, last, delta = (_decimal_fraction(v) for v in (start, stop, step))
+        first, last, delta = (Fraction(*exact_ratio(v)) for v in (start, stop, step))
     if delta <= 0:
         raise ValueError("step must be positive")
     if last < first:

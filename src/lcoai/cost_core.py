@@ -34,6 +34,14 @@ MICRO_PER_USD = 10**6
 # billion-digit integer
 MAX_DECIMAL_EXPONENT = 100
 
+# every decimal step (reading text, discount_factor's powers) runs in this
+# context: 50 digits, half-even and the default traps, independent of the
+# caller's context (its flags are set but never read)
+_POWER_DIGITS = 50
+_DECIMAL_CONTEXT = decimal.Context(
+    prec=_POWER_DIGITS, rounding=decimal.ROUND_HALF_EVEN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow])
+
 # longest horizon a discounting policy may cover (100 years): each period's
 # exact discount factor grows with its exponent
 MAX_DISCOUNTED_MONTHS = 1_200
@@ -42,6 +50,7 @@ MAX_DISCOUNTED_MONTHS = 1_200
 HORIZON_LIFE = "horizon"
 
 Rational = Union[int, Fraction]
+Exact = Union[str, int, Decimal, Fraction]
 
 
 def round_half_away(value: Rational) -> int:
@@ -91,39 +100,38 @@ def decimal_places(d: int) -> Union[int, None]:
     return max(twos, fives)
 
 
-def decimal_ratio(value: Decimal) -> tuple:
-    """Exact ``(numerator, denominator)`` of a finite Decimal whose exponent
-    in scientific notation lies within ±:data:`MAX_DECIMAL_EXPONENT`;
-    anything else raises ``ValueError``."""
+def exact_ratio(value: Exact) -> tuple:
+    """Exact ``(numerator, denominator)`` of decimal text, an int, a Decimal or
+    a Fraction: the one way an amount, rate, multiplier or swing enters lcoai.
+
+    Floats (whose binary value would defeat exactness), bools and other types
+    raise ``TypeError``. Malformed text, non-finite values and text or
+    Decimals whose exponent in scientific notation lies outside
+    ±:data:`MAX_DECIMAL_EXPONENT` raise ``ValueError``. Neither the result
+    nor a message depends on the caller's decimal context.
+    """
+    if isinstance(value, str):  # what a scenario file holds, so tested first
+        try:
+            value = Decimal(value, _DECIMAL_CONTEXT)
+        except decimal.InvalidOperation:
+            raise ValueError(f"not a decimal value: {value!r}") from None
+    elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value.numerator, value.denominator
+    elif not isinstance(value, Decimal):
+        raise TypeError(f"{type(value).__name__} is not an exact decimal; write a decimal string")
     if not value.is_finite():
-        raise ValueError(f"not a finite decimal value: {str(value)!r}")
+        raise ValueError(f"not a finite decimal value: {_DECIMAL_CONTEXT.to_sci_string(value)!r}")
     if abs(value.adjusted()) > MAX_DECIMAL_EXPONENT:
-        raise ValueError(f"the exponent of {str(value)!r} is outside "
-                         f"±{MAX_DECIMAL_EXPONENT}")
+        raise ValueError(f"the exponent of {_DECIMAL_CONTEXT.to_sci_string(value)!r} "
+                         f"is outside ±{MAX_DECIMAL_EXPONENT}")
     return value.as_integer_ratio()
 
 
-def usd_to_micro(usd: Union[str, int, Decimal]) -> int:
-    """Convert an exact decimal USD quantity to integer micro-dollars.
-
-    Floats are refused (their binary representation would defeat exactness),
-    as is anything finer than micro-dollar resolution (6 decimal places) and
-    any exponent outside ±:data:`MAX_DECIMAL_EXPONENT`.
-    """
-    if isinstance(usd, str):  # what a scenario file holds, so tested first
-        try:
-            usd = Decimal(usd)
-        except decimal.InvalidOperation as exc:
-            raise ValueError(f"not a decimal amount: {usd!r}") from exc
-    elif isinstance(usd, bool):
-        raise TypeError("bool is not a USD amount")
-    elif isinstance(usd, int):
-        return usd * MICRO_PER_USD
-    elif isinstance(usd, float):
-        raise TypeError("float USD values are not exact; pass a str, int, or Decimal")
-    if not isinstance(usd, Decimal):
-        raise TypeError(f"cannot convert {type(usd).__name__} to micro-dollars")
-    numerator, denominator = decimal_ratio(usd)
+def usd_to_micro(usd: Exact) -> int:
+    """Convert an exact USD quantity, read by :func:`exact_ratio`, to integer
+    micro-dollars; anything finer than micro-dollar resolution (6 decimal
+    places) raises ``ValueError``."""
+    numerator, denominator = exact_ratio(usd)
     micro, rest = divmod(numerator * MICRO_PER_USD, denominator)
     if rest:
         raise ValueError(f"{usd} exceeds micro-dollar resolution (6 decimal places)")
@@ -150,7 +158,7 @@ class Money:
             raise TypeError("Money holds an int count of micro-dollars")
 
     @classmethod
-    def from_usd(cls, usd: Union[str, int, Decimal]) -> "Money":
+    def from_usd(cls, usd: Exact) -> "Money":
         return cls(usd_to_micro(usd))
 
     def __add__(self, other: "Money") -> "Money":
@@ -172,9 +180,10 @@ class Money:
     def __abs__(self) -> "Money":
         return Money(abs(self.amount))
 
-    def scaled(self, k: Rational) -> "Money":
-        """Scale by an exact non-binary rational, rounding half away from zero."""
-        return Money(round_half_away(Fraction(self.amount) * Fraction(k)))
+    def scaled(self, k: Exact) -> "Money":
+        """Scale by ``k``, read by :func:`exact_ratio`, rounding half away from zero."""
+        p, q = exact_ratio(k)
+        return Money(_round_div(self.amount * p, q))
 
     def per_inference(self, count: int) -> "PerInferenceRate":
         """Divide by an inference count under the declared rounding rule."""
@@ -210,7 +219,7 @@ class PerInferenceRate:
             raise ValueError("per-inference rate must be non-negative")
 
     @classmethod
-    def from_usd(cls, usd: Union[str, int, Decimal]) -> "PerInferenceRate":
+    def from_usd(cls, usd: Exact) -> "PerInferenceRate":
         return cls(usd_to_micro(usd))
 
     def per_thousand(self) -> Money:
@@ -223,8 +232,9 @@ class PerInferenceRate:
             raise ValueError("inference count must be non-negative")
         return Money(self.rate * inferences)
 
-    def scaled(self, k: Rational) -> "PerInferenceRate":
-        return PerInferenceRate(round_half_away(Fraction(self.rate) * Fraction(k)))
+    def scaled(self, k: Exact) -> "PerInferenceRate":
+        p, q = exact_ratio(k)
+        return PerInferenceRate(_round_div(self.rate * p, q))
 
     def as_usd(self) -> Decimal:
         """Exact USD value as a Decimal, whatever the decimal context."""
@@ -321,14 +331,15 @@ class DiscountPolicy:
     """Whether and how future cash flows are discounted.
 
     ``wacc`` mode applies 1/(1+annual_rate)^years to each period's cash
-    flows; capital charges are commissioning-time (period 0) lumps and are
+    flows; a rate, in any mode, is read by :func:`exact_ratio` into a
+    Fraction. Capital charges are commissioning-time (period 0) lumps and are
     never discounted. ``discount_denominator`` extends the discounting to the
     inference denominator (the levelized-output convention) and is off by
     default.
     """
 
     mode: Literal["none", "wacc"] = "none"
-    annual_rate: Union[Fraction, None] = None
+    annual_rate: Union[Exact, None] = None
     discount_denominator: bool = False
 
     def __post_init__(self):
@@ -336,15 +347,19 @@ class DiscountPolicy:
             raise FieldError("mode", 'must be "none" or "wacc"')
         if not isinstance(self.discount_denominator, bool):
             raise FieldError("discount_denominator", "must be a boolean")
-        if self.mode == "wacc":
-            if self.annual_rate is None:
+        if self.annual_rate is None:
+            if self.mode == "wacc":
                 raise FieldError("annual_rate", "wacc mode requires an annual_rate")
-            rate = Fraction(self.annual_rate)
-            object.__setattr__(self, "annual_rate", rate)
-            if rate < 0:
-                raise ValueError("annual_rate must be non-negative")
-            if rate >= 1:
-                raise ValueError("an annual rate of 100% or more is rejected")
+            return
+        try:
+            rate = Fraction(*exact_ratio(self.annual_rate))
+        except ValueError as exc:
+            raise FieldError("annual_rate", str(exc)) from None
+        object.__setattr__(self, "annual_rate", rate)
+        if rate < 0:
+            raise ValueError("annual_rate must be non-negative")
+        if rate >= 1:
+            raise ValueError("an annual rate of 100% or more is rejected")
 
     @property
     def is_discounting(self) -> bool:
@@ -464,13 +479,6 @@ def amortize_capex(items: Iterable[CapexItem], horizon: Horizon) -> list:
     return [Money(c) for c in charges]
 
 
-# discount_factor's decimal steps: 50 digits, half-even and the default traps,
-# independent of the caller's context (its flags are set but never read)
-_POWER_DIGITS = 50
-_POWER_CONTEXT = decimal.Context(
-    prec=_POWER_DIGITS, rounding=decimal.ROUND_HALF_EVEN,
-    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow])
-
 # _root_power scales the power by 10^_ROOT_SCALE, so that its floor keeps at
 # least ten digits past the 50 it rounds to (the power is at least 1)
 _ROOT_SCALE = _POWER_DIGITS + 10
@@ -508,12 +516,12 @@ def discount_factor(policy: DiscountPolicy, period_index: int,
     n, k = years.numerator, years.denominator
     if k == 1:
         return Fraction(1) / base ** n
-    b = _POWER_CONTEXT.divide(Decimal(base.numerator), Decimal(base.denominator))
+    b = _DECIMAL_CONTEXT.divide(Decimal(base.numerator), Decimal(base.denominator))
     bn, bd = b.as_integer_ratio()
     if k in (2, 4):
         return Fraction(10**_ROOT_SCALE, _root_power(bn, bd, n, k))
-    y = _POWER_CONTEXT.divide(Decimal(n), Decimal(k))
-    return Fraction(1) / Fraction(_POWER_CONTEXT.power(b, y))
+    y = _DECIMAL_CONTEXT.divide(Decimal(n), Decimal(k))
+    return Fraction(1) / Fraction(_DECIMAL_CONTEXT.power(b, y))
 
 
 def _root_power(bn: int, bd: int, n: int, k: int) -> int:

@@ -23,11 +23,12 @@ from typing import Iterable, Literal, Optional, Union
 from .cost_core import (
     CompiledScenario,
     CostScenario,
+    Exact,
     Money,
     PerInferenceRate,
-    Rational,
     VolumeProjection,
     compute_lcoai,
+    exact_ratio,
     round_half_away,
 )
 from .decision import fine_tune_threshold
@@ -50,9 +51,9 @@ class SweepSpec:
 
     Volume points are inference counts; a zero point is allowed and renders
     as an undefined entry in the series rather than failing the sweep. Opex
-    points are :class:`PerInferenceRate`. Capex points are positive rational
-    multipliers applied to every CAPEX item. Points must be strictly
-    increasing.
+    points are :class:`PerInferenceRate`. Capex points are positive
+    multipliers, read by :func:`~lcoai.cost_core.exact_ratio`, applied to every
+    CAPEX item. Points must be strictly increasing.
     """
 
     parameter: SweepParameter
@@ -73,7 +74,7 @@ class SweepSpec:
             rates = [p.rate for p in points]
             increasing = all(map(lt, rates, rates[1:]))
         elif self.parameter == "capex_multiplier":
-            points = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in points)
+            points = tuple(p if isinstance(p, Fraction) else Fraction(*exact_ratio(p)) for p in points)
             nums = [p.numerator for p in points]
             dens = [p.denominator for p in points]
             if min(nums) <= 0:  # denominators are positive
@@ -174,9 +175,10 @@ def with_opex_rate(scenario: CostScenario, rate: PerInferenceRate) -> CostScenar
     return replace(scenario, opex=replace(scenario.opex, per_inference=rate))
 
 
-def with_capex_scaled(scenario: CostScenario, k: Rational) -> CostScenario:
-    """A copy with every CAPEX item amount scaled by the exact rational ``k``."""
-    k = Fraction(k)
+def with_capex_scaled(scenario: CostScenario, k: Exact) -> CostScenario:
+    """A copy with every CAPEX item amount scaled by ``k``, read by
+    :func:`~lcoai.cost_core.exact_ratio`."""
+    k = Fraction(*exact_ratio(k))
     if k <= 0:
         raise ValueError("capex multiplier must be positive")
     items = tuple(replace(item, amount=item.amount.scaled(k)) for item in scenario.capex)
@@ -247,6 +249,8 @@ def break_even(a: CostScenario, b: CostScenario,
     [1, :data:`MAX_SEARCH_MAX`]. Scenarios with differing horizons are not
     comparable.
     """
+    if isinstance(search_max, bool) or not isinstance(search_max, int):
+        raise TypeError("search_max must be an int")
     if search_max <= 0:
         raise ValueError("search_max must be positive")
     if search_max > MAX_SEARCH_MAX:
@@ -331,14 +335,15 @@ def _confirmed(result: BreakEvenResult, hi: CostScenario,
     return result
 
 
-def tornado(scenario: CostScenario, swing: Rational,
+def tornado(scenario: CostScenario, swing: Exact,
             parameters: Iterable[str] = TORNADO_PARAMETERS) -> list:
     """Cost per 1,000 at (1 - swing) and (1 + swing) times each parameter.
 
     Returns :class:`TornadoEntry` items ordered by descending spread (ties by
-    parameter name). ``swing`` must lie strictly between 0 and 1.
+    parameter name). ``swing``, read by :func:`~lcoai.cost_core.exact_ratio`,
+    must lie strictly between 0 and 1.
     """
-    swing = Fraction(swing)
+    swing = Fraction(*exact_ratio(swing))
     if not 0 < swing < 1:
         raise ValueError("swing must be strictly between 0 and 1")
     chosen = set(parameters)

@@ -24,8 +24,8 @@ from lcoai import (
     scenarios_to_dict,
     sweep_series_csv,
 )
-from lcoai.cli_report import MAX_SWEEP_POINTS, _decimal_fraction, _sweep_points, main
-from lcoai.cost_core import MAX_DECIMAL_EXPONENT, MAX_DISCOUNTED_MONTHS, decimal_text
+from lcoai.cli_report import MAX_SWEEP_POINTS, _sweep_points, main
+from lcoai.cost_core import MAX_DECIMAL_EXPONENT, MAX_DISCOUNTED_MONTHS, decimal_text, exact_ratio
 from lcoai.sensitivity import MAX_SEARCH_MAX, SweepSpec, sweep
 
 from conftest import FIXTURES, GOLDEN, simple_scenario
@@ -569,10 +569,10 @@ class TestCliCommands:
         assert "exponent" in capsys.readouterr().err
 
     def test_decimal_text_exponent_is_bounded(self):
-        assert _decimal_fraction(f"1e-{MAX_DECIMAL_EXPONENT}") == Fraction(1, 10**MAX_DECIMAL_EXPONENT)
+        assert exact_ratio(f"1e-{MAX_DECIMAL_EXPONENT}") == (1, 10**MAX_DECIMAL_EXPONENT)
         for text in ("1e-9999", "1e9999", f"1e-{MAX_DECIMAL_EXPONENT + 1}"):
             with pytest.raises(ValueError, match="exponent"):
-                _decimal_fraction(text)
+                exact_ratio(text)
 
     def test_sweep_grid_is_start_plus_multiples_of_step(self):
         assert _sweep_points("capex_multiplier", "0.5", "1.2", "0.25") == [

@@ -27,6 +27,7 @@ from lcoai import (
     discount_factor,
     round_half_away,
 )
+from lcoai import cost_core
 from lcoai.cost_core import MAX_DISCOUNTED_MONTHS
 
 from conftest import simple_scenario
@@ -172,6 +173,11 @@ class TestAmortize:
         assert [m.amount for m in stream] == [33, 33, 34]
         assert sum(m.amount for m in stream) == 100
 
+    def test_life_equal_to_the_horizon_spreads_uniformly_with_the_residual_last(self):
+        # month-by-month cumulative rounding would give [3, 4, 3]
+        stream = amortize_capex([CapexItem("x", Money(10), 3)], Horizon(3, 1))
+        assert [m.amount for m in stream] == [3, 3, 4]
+
     def test_short_asset_life_charges_fully_within_life_span(self):
         # 18-month life inside a 36-month horizon: months 1-12 in period 1,
         # 13-18 in period 2, nothing in period 3
@@ -265,6 +271,21 @@ class TestDiscountFactor:
         policy = DiscountPolicy("wacc", Fraction(rate))
         assert discount_factor(policy, t, months) == 1 / Fraction(power)
 
+    @pytest.mark.parametrize("bn, bd, n, k", [
+        # with a 51-digit scale, the floor of each root ends in the two guard
+        # digits 50 but the root is irrational: a tie only in the floor, which
+        # must round up whatever the parity of the 50th digit
+        (122, 100, 1, 2), (112, 100, 5, 2), (152, 100, 3, 2),
+        (179, 100, 1, 4), (157, 100, 13, 4), (107, 100, 11, 4)])
+    def test_root_ties_of_the_floor_are_settled_exactly(self, bn, bd, n, k, monkeypatch):
+        monkeypatch.setattr(cost_core, "_ROOT_SCALE", 51)
+        power = cost_core._root_power(bn, bd, n, k)
+        # exact integer brackets: power is within half a unit in its 50th
+        # significant digit of (bn/bd)^(n/k) * 10^51
+        target, den = bn**n * 10**(51 * k), bd**n
+        half = 10**(len(str(power)) - 50) // 2
+        assert (power - half)**k * den < target < (power + half)**k * den
+
     def test_exact_half_year_root(self):
         # 1.21^(1/2) = 1.1 exactly
         assert discount_factor(DiscountPolicy("wacc", Fraction("0.21")), 1, 6) == Fraction(10, 11)
@@ -339,6 +360,12 @@ class TestComputeLcoai:
     def test_per_thousand_is_exactly_thousandfold(self, llama):
         result = compute_lcoai(llama)
         assert result.per_thousand.amount == result.per_inference.rate * 1000
+
+    def test_total_opex_of_half_a_micro_dollar_rounds_up(self):
+        # 4 micro-dollars a year, discounted at 60% over one year: exactly 5/2
+        scenario = simple_scenario("half", "0", "0", 1, fixed_usd="0.000004",
+                                   discount=DiscountPolicy("wacc", "0.6"))
+        assert compute_lcoai(scenario).total_opex == Money(3)
 
     def test_fixed_opex_enters_each_period(self):
         scenario = simple_scenario(

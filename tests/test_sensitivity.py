@@ -317,6 +317,11 @@ class TestBreakEven:
             with pytest.raises(ValueError, match="at most"):
                 break_even(a, b, search_max=MAX_SEARCH_MAX + 1)
 
+    @pytest.mark.parametrize("search_max", [1e9, True, Decimal(10**9), "1000"])
+    def test_search_max_must_be_an_int(self, llama, gpt41, search_max):
+        with pytest.raises(TypeError, match="search_max"):
+            break_even(llama, gpt41, search_max)
+
     def test_non_analytic_pair_uses_exact_bisection(self):
         # fixed per-period charges push these outside the closed-form regime
         a = simple_scenario("fixed-heavy", "0", "0.001", 1, fixed_usd="5000")

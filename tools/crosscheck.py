@@ -110,6 +110,18 @@ def corpus(tmp: Path) -> list:
         ("limit digits in log, strict", cli + ["--strict", "ingest", str(digits_log)]),
     ]
 
+    # numbers that are not exact decimal text where one is due
+    cases += [
+        ("float money in file", cli + ["table", _scenario_file(
+            tmp, "float-money.json", opex={"per_inference_usd": 0.0048})]),
+        ("integer annual_rate in file", cli + ["table", _scenario_file(
+            tmp, "integer-rate.json", discount={"mode": "wacc", "annual_rate": 0})]),
+        ("malformed capex grid value", cli + ["sweep", TABLE1, LLAMA, "capex_multiplier",
+                                              "--start", "3/4", "--stop", "2", "--step", "1"]),
+        ("annual_rate exponent in file", cli + ["table", _scenario_file(
+            tmp, "rate-exponent.json", discount={"mode": "wacc", "annual_rate": "1e-101"})]),
+    ]
+
     # JSON that Python 3.13 words differently from earlier Pythons
     comma_file, comma_log = tmp / "comma.json", tmp / "comma.jsonl"
     comma_file.write_text('{"version": 1,\n "scenarios": [],\n}\n')
