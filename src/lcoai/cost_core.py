@@ -34,7 +34,7 @@ MICRO_PER_USD = 10**6
 # billion-digit integer
 MAX_DECIMAL_EXPONENT = 100
 
-# every decimal step (reading text, discount_factor's powers) runs in this
+# reading decimal text and rounding discount_factor's base run in this
 # context: 50 digits, half-even and the default traps, independent of the
 # caller's context (its flags are set but never read)
 _POWER_DIGITS = 50
@@ -100,6 +100,15 @@ def decimal_places(d: int) -> Union[int, None]:
     return max(twos, fives)
 
 
+def _echo(text: str) -> str:
+    """An input value as an error message shows it: whole up to 60
+    characters, else its first and last 20 around the count of those left
+    out, so that a 5,000-digit amount cannot make a 5,000-character message."""
+    if len(text) <= 60:
+        return text
+    return f"{text[:20]}[{len(text) - 40:,} characters left out]{text[-20:]}"
+
+
 def exact_ratio(value: Exact) -> tuple:
     """Exact ``(numerator, denominator)`` of decimal text, an int, a Decimal or
     a Fraction: the one way an amount, rate, multiplier or swing enters lcoai.
@@ -114,15 +123,16 @@ def exact_ratio(value: Exact) -> tuple:
         try:
             value = Decimal(value, _DECIMAL_CONTEXT)
         except decimal.InvalidOperation:
-            raise ValueError(f"not a decimal value: {value!r}") from None
+            raise ValueError(f"not a decimal value: {_echo(value)!r}") from None
     elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value.numerator, value.denominator
     elif not isinstance(value, Decimal):
         raise TypeError(f"{type(value).__name__} is not an exact decimal; write a decimal string")
     if not value.is_finite():
-        raise ValueError(f"not a finite decimal value: {_DECIMAL_CONTEXT.to_sci_string(value)!r}")
+        raise ValueError(f"not a finite decimal value: "
+                         f"{_echo(_DECIMAL_CONTEXT.to_sci_string(value))!r}")
     if abs(value.adjusted()) > MAX_DECIMAL_EXPONENT:
-        raise ValueError(f"the exponent of {_DECIMAL_CONTEXT.to_sci_string(value)!r} "
+        raise ValueError(f"the exponent of {_echo(_DECIMAL_CONTEXT.to_sci_string(value))!r} "
                          f"is outside ±{MAX_DECIMAL_EXPONENT}")
     return value.as_integer_ratio()
 
@@ -134,7 +144,7 @@ def usd_to_micro(usd: Exact) -> int:
     numerator, denominator = exact_ratio(usd)
     micro, rest = divmod(numerator * MICRO_PER_USD, denominator)
     if rest:
-        raise ValueError(f"{usd} exceeds micro-dollar resolution (6 decimal places)")
+        raise ValueError(f"{_echo(str(usd))} exceeds micro-dollar resolution (6 decimal places)")
     return micro
 
 
@@ -355,6 +365,11 @@ class DiscountPolicy:
             rate = Fraction(*exact_ratio(self.annual_rate))
         except ValueError as exc:
             raise FieldError("annual_rate", str(exc)) from None
+        # whole-year factors are exact powers of the rate, whose digits the
+        # exponent bound alone leaves unbounded
+        if rate.denominator > 10**MAX_DECIMAL_EXPONENT:
+            raise FieldError("annual_rate", f"more than {MAX_DECIMAL_EXPONENT} decimal places "
+                                            f"(a denominator over 10^{MAX_DECIMAL_EXPONENT})")
         object.__setattr__(self, "annual_rate", rate)
         if rate < 0:
             raise ValueError("annual_rate must be non-negative")
@@ -493,16 +508,12 @@ def discount_factor(policy: DiscountPolicy, period_index: int,
     time and always carries factor 1 (capital is charged there).
 
     What "exact" means here: a whole-year exponent gives the exact rational
-    power. A non-integral exponent (a period grid that misses year
-    boundaries, such as quarters) raises b, 1+annual_rate rounded to 50
-    significant digits, to y and rounds that power half-even to 50
-    significant digits; the factor is the exact Fraction of 1 over the
-    rounded power, so results stay deterministic. Quarter- and half-year
-    exponents take the power from integer square roots (:func:`_root_power`),
-    which round it correctly. Other exponents (thirds, sixths and twelfths
-    of a year) use ``Decimal`` ``**``, which is only "almost always"
-    correctly rounded; both give the same 50-digit power, and the unit tests
-    pin factors from each. Every decimal step runs in one fixed context,
+    power. A non-integral exponent n/k (a period grid that misses year
+    boundaries, such as quarters or months) raises b, 1+annual_rate rounded
+    half-even to 50 significant digits, to n/k and rounds that power
+    correctly, half-even, to 50 significant digits (:func:`_root_power`);
+    the factor is the exact Fraction of 1 over the rounded power, so results
+    stay deterministic. Every decimal step runs in one fixed context,
     whatever the caller's. Every result downstream is the exact
     rational that follows from these factors; :class:`CompiledScenario`
     only rearranges the sums over them and yields the same rational.
@@ -517,27 +528,29 @@ def discount_factor(policy: DiscountPolicy, period_index: int,
     if k == 1:
         return Fraction(1) / base ** n
     b = _DECIMAL_CONTEXT.divide(Decimal(base.numerator), Decimal(base.denominator))
-    bn, bd = b.as_integer_ratio()
-    if k in (2, 4):
-        return Fraction(10**_ROOT_SCALE, _root_power(bn, bd, n, k))
-    y = _DECIMAL_CONTEXT.divide(Decimal(n), Decimal(k))
-    return Fraction(1) / Fraction(_DECIMAL_CONTEXT.power(b, y))
+    return Fraction(10**_ROOT_SCALE, _root_power(*b.as_integer_ratio(), n, k))
 
 
 def _root_power(bn: int, bd: int, n: int, k: int) -> int:
-    """(bn/bd)^(n/k) * 10^_ROOT_SCALE for k = 2 or 4 and bn >= bd > 0, with
-    the power rounded half-even to 50 significant digits.
+    """(bn/bd)^(n/k) * 10^_ROOT_SCALE for k dividing 12 and bn >= bd > 0,
+    with the power rounded half-even to 50 significant digits.
 
-    The scaled root of the exact ratio bn^n/bd^n is floored by one integer
-    square root (two for k = 4); the 50 leading digits of that floor are
-    then rounded, and the one case its digits leave open (a remainder of
-    exactly half) is settled by comparing exact integers.
+    The scaled root of the exact ratio bn^n/bd^n is floored by integer roots
+    of the floored quotient, one square root per factor 2 of k and one cube
+    root if 3 divides k; the steps compose, as the floor of a root of a floor
+    is the floor of the root. The 50 leading digits of that floor are then
+    rounded, and the one case its digits leave open (a remainder of exactly
+    half) is settled by comparing exact integers.
     """
     num, den = bn**n, bd**n
     scaled = num * 10**(k * _ROOT_SCALE)
-    root = math.isqrt(scaled // den)
-    if k == 4:
+    root = scaled // den
+    if k % 2 == 0:
         root = math.isqrt(root)
+    if k % 4 == 0:
+        root = math.isqrt(root)
+    if k % 3 == 0:
+        root = _icbrt(root)
     # Decimal(root) counts digits without str(), so the interpreter's
     # integer-string limit plays no part
     unit = 10**(Decimal(root).adjusted() + 1 - _POWER_DIGITS)
@@ -546,6 +559,17 @@ def _root_power(bn: int, bd: int, n: int, k: int) -> int:
     if rest > half or rest == half and (q & 1 or root**k * den != scaled):
         q += 1
     return q * unit
+
+
+def _icbrt(x: int) -> int:
+    """Floor of the cube root of ``x > 0``: Newton's iteration, which from a
+    start above the root decreases until it reaches the floor."""
+    root = 1 << -(-x.bit_length() // 3)
+    while True:
+        step = (2 * root + x // (root * root)) // 3
+        if step >= root:
+            return root
+        root = step
 
 
 class CompiledScenario:

@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lcoai import (
     CapexItem,
@@ -28,28 +28,33 @@ from lcoai import (
     round_half_away,
 )
 from lcoai import cost_core
-from lcoai.cost_core import MAX_DISCOUNTED_MONTHS
+from lcoai.cost_core import MAX_DECIMAL_EXPONENT, MAX_DISCOUNTED_MONTHS
 
 from conftest import simple_scenario
 
 
-def reference_factor(policy: DiscountPolicy, period_index: int,
-                     period_length_months: int = 12) -> Fraction:
-    """discount_factor as it was when every non-whole-year power came from
-    Decimal ``**``: the reference for the integer-root path."""
-    if period_index < 0:
-        raise ValueError("period_index starts at 0 (commissioning)")
-    if not policy.is_discounting or period_index == 0:
-        return Fraction(1)
+def assert_correctly_rounded(policy: DiscountPolicy, period_index: int,
+                             period_length_months: int, factor: Fraction) -> None:
+    """``1 / factor`` is b^(n/k) rounded half-even to 50 significant digits,
+    where b = bn/bd is 1+annual_rate rounded half-even to 50 significant
+    digits and n/k the period's end in years. Checked by exact integer
+    brackets: the power P has the 50 digits m at ``places`` decimal places
+    (a power below 2^100 has fewer than 50 whole digits), and
+    (2m - 1)^k * bd^n <= 2^k * bn^n * 10^(k * places) <= (2m + 1)^k * bd^n,
+    with equality (a tie) only for an even m."""
     years = Fraction(period_index * period_length_months, 12)
-    base = 1 + policy.annual_rate
-    if years.denominator == 1:
-        return Fraction(1) / base ** years.numerator
+    n, k = years.numerator, years.denominator
     with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        b = Decimal(base.numerator) / Decimal(base.denominator)
-        y = Decimal(years.numerator) / Decimal(years.denominator)
-        return Fraction(1) / Fraction(b**y)
+        ctx.prec, ctx.rounding = 50, decimal.ROUND_HALF_EVEN
+        base = 1 + policy.annual_rate
+        bn, bd = (Decimal(base.numerator) / Decimal(base.denominator)).as_integer_ratio()
+    power = 1 / factor
+    places = 50 - len(str(power.numerator // power.denominator))
+    m = power * 10**places
+    assert m.denominator == 1 and 10**49 <= m.numerator < 10**50
+    m, target = m.numerator, 2**k * bn**n * 10**(k * places)
+    low, high = (2 * m - 1)**k * bd**n, (2 * m + 1)**k * bd**n
+    assert low < target < high or target in (low, high) and m % 2 == 0
 
 
 # annual rates as decimal text of 1-15 digits in [0, 1), and library rates
@@ -64,8 +69,9 @@ _RATES = st.one_of(
 @st.composite
 def _factor_cases(draw):
     """(rate, period length, period index) with the horizon within the cap;
-    quarter and half-year grids drawn often, so the integer roots are hit."""
-    months = draw(st.one_of(st.sampled_from([3, 6, 9, 18]), st.integers(1, 24)))
+    grids whose periods end on halves, thirds, quarters, sixths and twelfths
+    of a year drawn often, so each kind of root is hit."""
+    months = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 6, 9, 18]), st.integers(1, 24)))
     return draw(_RATES), months, draw(st.integers(1, MAX_DISCOUNTED_MONTHS // months))
 
 
@@ -113,6 +119,14 @@ class TestTypeInvariants:
             DiscountPolicy("wacc", Fraction(-1, 10))
         assert not DiscountPolicy("wacc", Fraction(0)).is_discounting
         assert DiscountPolicy("wacc", Fraction(1, 10)).is_discounting
+
+    def test_annual_rate_denominator_is_bounded(self):
+        assert DiscountPolicy("wacc", "0." + "1" * MAX_DECIMAL_EXPONENT).is_discounting
+        assert DiscountPolicy("wacc", Fraction(1, 10**MAX_DECIMAL_EXPONENT)).is_discounting
+        for rate in ("0." + "1" * (MAX_DECIMAL_EXPONENT + 1),
+                     Fraction(1, 10**MAX_DECIMAL_EXPONENT + 1)):
+            with pytest.raises(FieldError, match=f"annual_rate: more than {MAX_DECIMAL_EXPONENT} decimal"):
+                DiscountPolicy("none", rate)
 
     @pytest.mark.parametrize("build, field", [
         (lambda: CapexItem("", Money(1)), "label"),
@@ -248,14 +262,19 @@ class TestDiscountFactor:
             discount_factor(NO_DISCOUNT, -1)
 
     @pytest.mark.parametrize("rate, months, t, power", [
-        # (1 + rate)^(t * months / 12) to 50 significant digits, as libmpdec
-        # computes it today; any change to that power must fail here
+        # (1 + rate)^(t * months / 12) correctly rounded to 50 significant
+        # digits; any change to that power must fail here
         ("0.08", 3, 1, "1.0194265469082735124750748993344898541502272529569"),
         ("0.08", 3, 5, "1.1009806706609353934730808912812490424822454331934"),
         ("0.07", 1, 1, "1.0056541453874052770566396509761575181344065938454"),
         ("0.105", 3, 3, "1.0777591248975729574197322631691489545717627969875"),
         ("0.08", 6, 1, "1.0392304845413263761164678049035234201656831522862"),
         ("0.08", 9, 1, "1.0594191442977762643286322026753416203065283737202"),
+        # thirds, sixths and twelfths of a year whose last digit a power
+        # taken at the exponent rounded to 50 digits gets wrong
+        ("0.08", 4, 7, "1.1967095665222196210288797133610950592900596885625"),
+        ("0.08", 10, 13, "2.3019224285302671327713685853912253254023091797483"),
+        ("0.07", 1, 29, "1.1776352478453164018104782404841117902393699142651"),
         ("0.08", 3, 399, "2157.8418406041534394597473066662137720644208676240"),
         # a 50-digit base at the cap's last odd quarter: the root path's
         # largest exact integers
@@ -276,7 +295,8 @@ class TestDiscountFactor:
         # digits 50 but the root is irrational: a tie only in the floor, which
         # must round up whatever the parity of the 50th digit
         (122, 100, 1, 2), (112, 100, 5, 2), (152, 100, 3, 2),
-        (179, 100, 1, 4), (157, 100, 13, 4), (107, 100, 11, 4)])
+        (179, 100, 1, 4), (157, 100, 13, 4), (107, 100, 11, 4),
+        (106, 100, 34, 3), (106, 100, 7, 6), (109, 100, 5, 12)])
     def test_root_ties_of_the_floor_are_settled_exactly(self, bn, bd, n, k, monkeypatch):
         monkeypatch.setattr(cost_core, "_ROOT_SCALE", 51)
         power = cost_core._root_power(bn, bd, n, k)
@@ -285,6 +305,11 @@ class TestDiscountFactor:
         target, den = bn**n * 10**(51 * k), bd**n
         half = 10**(len(str(power)) - 50) // 2
         assert (power - half)**k * den < target < (power + half)**k * den
+
+    @given(st.integers(2, 10**400))
+    def test_integer_cube_root_is_the_floor(self, m):
+        assert cost_core._icbrt(m**3 - 1) == m - 1
+        assert cost_core._icbrt(m**3) == cost_core._icbrt(m**3 + 3 * m) == m
 
     def test_exact_half_year_root(self):
         # 1.21^(1/2) = 1.1 exactly
@@ -307,11 +332,11 @@ class TestDiscountFactor:
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no integer-string limit on this interpreter")
     def test_factor_ignores_the_integer_string_limit(self):
-        # the largest quarter- and half-year powers: a 50-digit base close to
-        # 2 over the last periods of the 1,200-month cap
-        policy = DiscountPolicy("wacc", Fraction(10**50 - 1, 10**50))
-        cases = [(399, 3), (199, 6)]
-        expected = [reference_factor(policy, t, months) for t, months in cases]
+        # the largest powers of each fractional-year grid: a 50-digit base
+        # close to 2 over the last periods of the 1,200-month cap
+        policy = DiscountPolicy("wacc", Fraction(10**49 - 1, 10**49))
+        cases = [(1199, 1), (599, 2), (399, 3), (299, 4), (199, 6)]
+        expected = [discount_factor(policy, t, months) for t, months in cases]
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -319,13 +344,24 @@ class TestDiscountFactor:
         finally:
             sys.set_int_max_str_digits(limit)
         assert got == expected
+        for (t, months), factor in zip(cases, expected):
+            assert_correctly_rounded(policy, t, months, factor)
 
     @settings(max_examples=300, deadline=None)
     @given(_factor_cases())
-    def test_matches_the_decimal_power_reference(self, case):
+    # thirds, sixths and twelfths of a year that a power taken at the
+    # exponent rounded to 50 digits gets wrong
+    @example((Fraction("0.08"), 4, 7))
+    @example((Fraction("0.08"), 10, 13))
+    @example((Fraction("0.08"), 5, 25))
+    def test_every_factor_is_correctly_rounded(self, case):
         rate, months, t = case
         policy = DiscountPolicy("wacc", rate)
-        assert discount_factor(policy, t, months) == reference_factor(policy, t, months)
+        factor = discount_factor(policy, t, months)
+        if t * months % 12:
+            assert_correctly_rounded(policy, t, months, factor)
+        else:
+            assert factor == 1 / (1 + rate) ** (t * months // 12)
 
     def test_whole_year_factor_is_the_exact_rational_power(self):
         policy = DiscountPolicy("wacc", Fraction("0.08"))

@@ -104,10 +104,24 @@ class TestExactRatio:
             got = [_outcome(site, value) for value in values]
         assert got == expected
 
-    @pytest.mark.parametrize("value, message", [
-        ("abc", "not a decimal value: 'abc'"),
-        ("nan", "not a finite decimal value: 'NaN'"),
-        ("1e-101", f"the exponent of '1E-101' is outside ±{MAX_DECIMAL_EXPONENT}"),
-    ])
-    def test_messages(self, value, message):
-        assert _outcome("exact_ratio", value) == (ValueError, message)
+    @pytest.mark.parametrize("site, value, message", [
+        ("exact_ratio", "abc", "not a decimal value: 'abc'"),
+        ("exact_ratio", "nan", "not a finite decimal value: 'NaN'"),
+        ("exact_ratio", "1e-101", f"the exponent of '1E-101' is outside ±{MAX_DECIMAL_EXPONENT}"),
+        ("usd_to_micro", "0.0000001",
+         "0.0000001 exceeds micro-dollar resolution (6 decimal places)"),
+        ("exact_ratio", "x" * 60, f"not a decimal value: '{'x' * 60}'"),
+        # a value of more than 60 characters is echoed by its first and last 20
+        ("exact_ratio", "x" * 61,
+         f"not a decimal value: '{'x' * 20}[21 characters left out]{'x' * 20}'"),
+        ("exact_ratio", "NaN" + "1" * 100,
+         f"not a finite decimal value: 'NaN{'1' * 17}[63 characters left out]{'1' * 20}'"),
+        ("exact_ratio", "9" * 5000, f"the exponent of '{'9' * 20}[4,960 characters left out]"
+                                    f"{'9' * 20}' is outside ±{MAX_DECIMAL_EXPONENT}"),
+        ("usd_to_micro", "0." + "1" * 5000,
+         f"0.{'1' * 18}[4,962 characters left out]{'1' * 20} "
+         "exceeds micro-dollar resolution (6 decimal places)"),
+    ], ids=["malformed", "non-finite", "exponent", "resolution", "60 characters",
+            "61 characters", "long non-finite", "long exponent", "long resolution"])
+    def test_messages(self, site, value, message):
+        assert _outcome(site, value) == (ValueError, message)

@@ -66,6 +66,11 @@ LIMITS = {
             "sweep", TABLE1, GPT, "capex_multiplier", "--start", "1", "--stop", "2",
             "--step", f"1e-{MAX_DECIMAL_EXPONENT + 1}"], 1),
     ],
+    "`annual_rate` decimal places": [
+        ("annual_rate in a file", lambda tmp: ["table", _scenario_file(
+            tmp, discount={"mode": "wacc",
+                           "annual_rate": "0." + "1" * (MAX_DECIMAL_EXPONENT + 1)})], 4),
+    ],
     "`breakeven --search-max`": [
         ("zero", lambda tmp: ["breakeven", TABLE1, LLAMA, GPT, "--search-max", "0"], 1),
         ("past the maximum", lambda tmp: ["breakeven", TABLE1, LLAMA, GPT, "--search-max",
@@ -131,9 +136,8 @@ def _counting(monkeypatch, calls: Counter, name: str) -> None:
 
 @pytest.mark.parametrize("months", [1, 3], ids=["monthly", "quarterly"])
 def test_worst_legal_discounted_horizon_by_operation_counts(months, monkeypatch):
-    # each period's factor is computed once per compile; of the 100 years, the
-    # 300 quarter- and half-year exponents take integer roots, the 100 whole
-    # years are exact powers and the rest (monthly only) Decimal powers
+    # each period's factor is computed once per compile; the 100 whole years
+    # are exact powers and every other period end takes integer roots
     periods = MAX_DISCOUNTED_MONTHS // months
     calls = Counter()
     _counting(monkeypatch, calls, "discount_factor")
@@ -144,7 +148,7 @@ def test_worst_legal_discounted_horizon_by_operation_counts(months, monkeypatch)
             horizon=Horizon(periods, months),
             discount=DiscountPolicy("wacc", Fraction("0.08"), denominator))
         assert compute_lcoai(scenario).discounted
-    assert calls == {"discount_factor": 2 * periods, "_root_power": 2 * 300}
+    assert calls == {"discount_factor": 2 * periods, "_root_power": 2 * (periods - 100)}
 
 
 def test_just_over_the_discounted_horizon_computes_no_factor(tmp_path, monkeypatch, capsys):

@@ -94,6 +94,11 @@ def corpus(tmp: Path) -> list:
                                       "--stop", "1000000", "--step", "1"]),
         ("limit exponent in file", cli + ["table", _scenario_file(
             tmp, "exponent.json", opex={"per_inference_usd": "1e-101"})]),
+        ("limit exponent in file, 5,000 digits", cli + ["table", _scenario_file(
+            tmp, "exponent-digits.json",
+            capex=[{"label": "cluster", "amount_usd": "9" * 5_000}])]),
+        ("limit annual_rate decimal places", cli + ["table", _scenario_file(
+            tmp, "rate-places.json", discount={"mode": "wacc", "annual_rate": "0." + "1" * 101})]),
         ("limit exponent on command line", cli + ["sweep", TABLE1, GPT, "capex_multiplier",
                                                   "--start", "1", "--stop", "2",
                                                   "--step", "1e-101"]),
@@ -140,6 +145,15 @@ def corpus(tmp: Path) -> list:
             path = _scenario_file(tmp, f"wacc-{rate}-{periods}x{months}-{denominator}.json",
                                   **_wacc(rate, periods, months, denominator))
             cases.append((f"wacc {rate} {periods}x{months}-month denominator={denominator}",
+                          cli + ["compute", path, "s"]))
+
+    # the 1,200-month cap on monthly and two-month grids, at a short rate and
+    # at one whose 1+rate has 50 digits: the largest cube and square roots
+    for label, rate in (("0.08", "0.08"), ("50-digit", "0." + "3" * 49)):
+        for periods, months in ((1200, 1), (600, 2)):
+            path = _scenario_file(tmp, f"cap-{label}-{months}.json",
+                                  **_wacc(rate, periods, months, False))
+            cases.append((f"wacc {label} {periods}x{months}-month at the cap",
                           cli + ["compute", path, "s"]))
 
     # table1.json in every scenario order and under several hash seeds
