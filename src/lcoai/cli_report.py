@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cost_core import (
     HORIZON_LIFE,
@@ -83,11 +83,10 @@ TABLE_COLUMNS = (
 # ---------------------------------------------------------------------------
 # rendering helpers
 
-def format_usd(money: Money, decimals: int = 2) -> str:
-    """Render with a $ sign, thousands separators, and a fixed decimal count."""
-    if not 0 <= decimals <= 6:
-        raise ValueError("decimals must be between 0 and 6")
-    return _usd_text(money.amount, decimals)
+def format_usd(money: Money) -> str:
+    """Render with a $ sign, thousands separators and cents ("$1,234.57"),
+    rounded half away from zero."""
+    return _usd_text(money.amount, 2)
 
 
 def format_rate(rate: PerInferenceRate) -> str:
@@ -600,7 +599,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (IncompatibleScenariosError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

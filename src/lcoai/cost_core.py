@@ -106,7 +106,22 @@ def _echo(text: str) -> str:
     out, so that a 5,000-digit amount cannot make a 5,000-character message."""
     if len(text) <= 60:
         return text
-    return f"{text[:20]}[{len(text) - 40:,} characters left out]{text[-20:]}"
+    return _left_out(text[:20], text[-20:], len(text))
+
+
+def _left_out(head: str, tail: str, length: int) -> str:
+    return f"{head}[{length - 40:,} characters left out]{tail}"
+
+
+def _int_ends(x: int) -> tuple:
+    """The first and last 20 characters of ``str(x)`` and its length, which
+    hold past the interpreter's integer-string limit, where ``str(x)`` raises."""
+    if abs(x) < 10**40:
+        return str(x)[:20], str(x)[-20:], len(str(x))
+    sign, x = "-" if x < 0 else "", abs(x)
+    digits = int(math.log10(x)) + 1  # one off at most, where log10 rounds
+    digits += (x >= 10**digits) - (x < 10**(digits - 1))
+    return (sign + str(x // 10**(digits - 20)))[:20], f"{x % 10**20:020}", len(sign) + digits
 
 
 def exact_ratio(value: Exact) -> tuple:
@@ -144,7 +159,12 @@ def usd_to_micro(usd: Exact) -> int:
     numerator, denominator = exact_ratio(usd)
     micro, rest = divmod(numerator * MICRO_PER_USD, denominator)
     if rest:
-        raise ValueError(f"{_echo(str(usd))} exceeds micro-dollar resolution (6 decimal places)")
+        try:
+            text = _echo(str(usd))
+        except ValueError:  # str() of a Fraction with a part past the integer-string limit
+            (nh, nt, nl), (dh, dt, dl) = map(_int_ends, (numerator, denominator))
+            text = _left_out(f"{nh}/{dh}"[:20], f"{nt}/{dt}"[-20:], nl + 1 + dl)
+        raise ValueError(f"{text} exceeds micro-dollar resolution (6 decimal places)")
     return micro
 
 
@@ -199,7 +219,7 @@ class Money:
         """Divide by an inference count under the declared rounding rule."""
         if count <= 0:
             raise ValueError("inference count must be positive")
-        return PerInferenceRate(round_half_away(Fraction(self.amount, count)))
+        return PerInferenceRate(_round_div(self.amount, count))
 
     def as_usd(self) -> Decimal:
         """Exact USD value as a Decimal, whatever the decimal context."""
@@ -488,7 +508,7 @@ def amortize_capex(items: Iterable[CapexItem], horizon: Horizon) -> list:
             prev = 0
             for p in range(1, periods + 1):
                 covered = min(p * plm, life)
-                cum = round_half_away(Fraction(micro * covered, life))
+                cum = _round_div(micro * covered, life)
                 charges[p - 1] += cum - prev
                 prev = cum
     return [Money(c) for c in charges]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import lt, mul
-from typing import Iterable, Literal, Optional, Union
+from typing import Literal, Optional
 
 from .cost_core import (
     CompiledScenario,
@@ -219,14 +219,6 @@ def sweep(scenario: CostScenario, spec: SweepSpec) -> SweepResult:
     return SweepResult(scenario.name, spec.parameter, series)
 
 
-def _is_analytic(scenario: CostScenario) -> bool:
-    return (
-        scenario.horizon.periods == 1
-        and not scenario.discount.is_discounting
-        and scenario.opex.fixed_per_period.amount == 0
-    )
-
-
 def break_even(a: CostScenario, b: CostScenario,
                search_max: int = DEFAULT_SEARCH_MAX) -> BreakEvenResult:
     """Smallest volume at which the higher-capital scenario is strictly cheaper.
@@ -240,8 +232,9 @@ def break_even(a: CostScenario, b: CostScenario,
     ``search_exhausted`` is set only when the dominated scenario's cost per
     inference tends, as volume grows, to strictly less than the dominator's,
     so the curves cross beyond the bound. Only the crossover between the
-    bounds is found two ways: pairs in the analytic regime (single period,
-    no discounting, purely per-inference OPEX) solve
+    bounds is found two ways, chosen from the two scenarios alone: pairs in
+    the analytic regime (single period, no discounting, purely per-inference
+    OPEX) solve
     ``C_hi + o_hi * V < C_lo + o_lo * V`` with
     :func:`~lcoai.decision.fine_tune_threshold`'s formula; other pairs
     bisect monotonically over [1, search_max], and confirm the crossover
@@ -258,17 +251,10 @@ def break_even(a: CostScenario, b: CostScenario,
     if a.horizon != b.horizon:
         raise IncompatibleScenariosError(
             f"horizons differ: {a.horizon} vs {b.horizon}")
-    return _break_even(a, b, search_max, _is_analytic(a) and _is_analytic(b))
+    return _break_even(a, b, search_max)
 
 
-def _break_even_bisect(a: CostScenario, b: CostScenario,
-                       search_max: int) -> BreakEvenResult:
-    """:func:`break_even` with the crossover bisected even for analytic pairs."""
-    return _break_even(a, b, search_max, analytic=False)
-
-
-def _break_even(a: CostScenario, b: CostScenario, search_max: int,
-                analytic: bool) -> BreakEvenResult:
+def _break_even(a: CostScenario, b: CostScenario, search_max: int) -> BreakEvenResult:
     def exact(kernel: CompiledScenario, volume: int) -> tuple:
         # (numerator, denominator) of the exact cost per inference at a volume
         return kernel.evaluate(_rescaled(kernel.volumes, volume), kernel.rate,
@@ -279,6 +265,8 @@ def _break_even(a: CostScenario, b: CostScenario, search_max: int,
         (nx, dx), (ny, dy) = exact(x, volume), exact(y, volume)
         return nx * dy - ny * dx
 
+    analytic = all(s.horizon.periods == 1 and not s.discount.is_discounting
+                   and s.opex.fixed_per_period.amount == 0 for s in (a, b))
     ka, kb = CompiledScenario(a), CompiledScenario(b)
     if ka.capex != kb.capex:
         a_is_hi = ka.capex > kb.capex
@@ -310,14 +298,12 @@ def _break_even(a: CostScenario, b: CostScenario, search_max: int,
 
 def _limit(kernel: CompiledScenario) -> Fraction:
     """The exact cost per inference the kernel's scenario tends to as its
-    total volume grows: the OPEX rate when the denominator is discounted,
-    else the rate times sum(w_t * p_t) / (L * sum(p_t)) for the projection
-    shape p (uniform when it is all zero), as :func:`_rescaled` keeps it."""
-    if kernel.discounts_denominator:
-        return Fraction(kernel.rate)
+    total volume grows: the rate times the weighted volume over D, both from
+    :meth:`~lcoai.cost_core.CompiledScenario.volume_terms` of the projection
+    shape (uniform when it is all zero), as :func:`_rescaled` keeps it."""
     shape = kernel.volumes if any(kernel.volumes) else (1,) * len(kernel.volumes)
-    return Fraction(kernel.rate * sum(map(mul, kernel.weights, shape)),
-                    kernel.scale * sum(shape))
+    weighted, denominator = kernel.volume_terms(shape)
+    return Fraction(kernel.rate * weighted, denominator)
 
 
 def _confirmed(result: BreakEvenResult, hi: CostScenario,
@@ -335,21 +321,18 @@ def _confirmed(result: BreakEvenResult, hi: CostScenario,
     return result
 
 
-def tornado(scenario: CostScenario, swing: Exact,
-            parameters: Iterable[str] = TORNADO_PARAMETERS) -> list:
-    """Cost per 1,000 at (1 - swing) and (1 + swing) times each parameter.
+def tornado(scenario: CostScenario, swing: Exact) -> list:
+    """Cost per 1,000 at (1 - swing) and (1 + swing) times each of
+    :data:`TORNADO_PARAMETERS`.
 
-    Returns :class:`TornadoEntry` items ordered by descending spread (ties by
-    parameter name). ``swing``, read by :func:`~lcoai.cost_core.exact_ratio`,
-    must lie strictly between 0 and 1.
+    Returns one :class:`TornadoEntry` per parameter, ordered by descending
+    spread (ties by parameter name); a swung point with zero volume raises
+    :class:`~lcoai.errors.UndefinedMetricError`. ``swing``, read by
+    :func:`~lcoai.cost_core.exact_ratio`, must lie strictly between 0 and 1.
     """
     swing = Fraction(*exact_ratio(swing))
     if not 0 < swing < 1:
         raise ValueError("swing must be strictly between 0 and 1")
-    chosen = set(parameters)
-    unknown = chosen - set(TORNADO_PARAMETERS)
-    if unknown:
-        raise ValueError(f"unknown tornado parameters: {sorted(unknown)}")
     kernel = CompiledScenario(scenario)
     ks = (1 - swing, 1 + swing)
     total, rate = scenario.volume.total, scenario.opex.per_inference
@@ -358,11 +341,10 @@ def tornado(scenario: CostScenario, swing: Exact,
               "volume": ("volume", [round_half_away(total * k) for k in ks])}
     entries = []
     for parameter in TORNADO_PARAMETERS:
-        if parameter in chosen:
-            low, high = _series(kernel, *points[parameter])
-            if low is None or high is None:
-                raise UndefinedMetricError(
-                    f"scenario {scenario.name!r} projects zero valid inferences")
-            entries.append(TornadoEntry(parameter, Money(low * 1000), Money(high * 1000)))
+        low, high = _series(kernel, *points[parameter])
+        if low is None or high is None:
+            raise UndefinedMetricError(
+                f"scenario {scenario.name!r} projects zero valid inferences")
+        entries.append(TornadoEntry(parameter, Money(low * 1000), Money(high * 1000)))
     entries.sort(key=lambda e: (-e.spread.amount, e.parameter))
     return entries

@@ -551,6 +551,10 @@ class TestCliCommands:
         with pytest.raises(ValueError, match="limit"):
             _sweep_points(parameter, start, stop, step)
 
+    def test_sweep_grid_at_the_point_cap_is_built(self):
+        points = _sweep_points("volume", "1", str(MAX_SWEEP_POINTS), "1")
+        assert len(points) == MAX_SWEEP_POINTS and points[-1] == MAX_SWEEP_POINTS
+
     def test_sweep_over_the_point_cap_exits_1(self, capsys):
         code = main([
             "sweep", str(FIXTURES / "table1.json"), "GPT-4.1 API", "volume",

@@ -121,7 +121,13 @@ class TestExactRatio:
         ("usd_to_micro", "0." + "1" * 5000,
          f"0.{'1' * 18}[4,962 characters left out]{'1' * 20} "
          "exceeds micro-dollar resolution (6 decimal places)"),
+        ("usd_to_micro", Fraction(1, 3), "1/3 exceeds micro-dollar resolution (6 decimal places)"),
+        # past the 4,300-digit limit of str(int), quoted as if str() had written it
+        ("usd_to_micro", Fraction(1, 3 * 10**5000),
+         f"1/3{'0' * 17}[4,963 characters left out]{'0' * 20} "
+         "exceeds micro-dollar resolution (6 decimal places)"),
     ], ids=["malformed", "non-finite", "exponent", "resolution", "60 characters",
-            "61 characters", "long non-finite", "long exponent", "long resolution"])
+            "61 characters", "long non-finite", "long exponent", "long resolution",
+            "Fraction resolution", "Fraction past the integer-string limit"])
     def test_messages(self, site, value, message):
         assert _outcome(site, value) == (ValueError, message)

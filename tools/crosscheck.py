@@ -5,7 +5,9 @@ Runs one fixed corpus of commands on every interpreter named in the
 ``LCOAI_PYTHONS`` environment variable (paths separated by ``os.pathsep``)
 and compares each case's stdout, stderr and exit code byte for byte with the
 first interpreter's. Every case runs from the repository root with
-``PYTHONPATH=src``: CLI cases as ``python -m lcoai``, the demos as scripts.
+``PYTHONPATH=src`` and ``python -W error``: CLI cases as ``python -m lcoai``,
+the demos as scripts. A warning that one interpreter raises (a deprecation,
+say) is then an error there, and so a difference.
 The ``table`` cases run ``fixtures/table1.json`` with its scenarios in every
 order under three hash seeds, and must also print the same as each other.
 
@@ -169,8 +171,8 @@ def corpus(tmp: Path) -> list:
 
 
 def run(python: str, args: list, env: dict) -> tuple:
-    result = subprocess.run([python, *args], cwd=ROOT, env=env, capture_output=True,
-                            timeout=300)
+    result = subprocess.run([python, "-W", "error", *args], cwd=ROOT, env=env,
+                            capture_output=True, timeout=300)
     return result.returncode, result.stdout, result.stderr
 
 

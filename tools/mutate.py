@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+"""Check that the test suite notices a change to each exactness rule.
+
+Each entry of ``MUTANTS`` replaces one piece of source text (``old``, which
+must occur exactly once in its file) with a wrong version (``new``). For each
+entry the repository is copied to a temporary directory, the mutant is
+applied there, and ``pytest -x -q`` runs the entry's mapped tests; only when
+those pass does it run all of ``tests/``. A failing run kills the mutant. A
+mutant that passes everything has survived, unless its entry says it is
+equivalent (it cannot change any result), with the reason why.
+
+    python3 tools/mutate.py
+
+Prints killed, survived or equivalent and the time taken for each mutant.
+Exits 0 when every mutant not marked equivalent is killed, 1 when one
+survives or an equivalent one is killed, and 2 when an entry's ``old`` text
+does not occur exactly once. Hypothesis runs with a fixed seed, so results
+repeat. Needs only the standard library besides pytest and hypothesis.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_IGNORED = shutil.ignore_patterns(".git", ".bench_out", "__pycache__", ".pytest_cache",
+                                  ".hypothesis")
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    tests: tuple
+    reason: str
+    equivalent: bool = False
+
+
+_SENS = "src/lcoai/sensitivity.py"
+_CORE = "src/lcoai/cost_core.py"
+_CLI = "src/lcoai/cli_report.py"
+_INGEST = "src/lcoai/ingest.py"
+_BREAK_EVEN = ("tests/test_sensitivity.py", "tests/test_kernel.py")
+_ROUNDING = ("tests/test_money.py", "tests/test_cost_core.py")
+_LIMITS = ("tests/test_limits.py",)
+
+MUTANTS = (
+    # the break-even driver and the search-exhausted limit
+    Mutant(_SENS, "if diff(hi, lo, 1) < 0:", "if diff(hi, lo, 1) <= 0:", _BREAK_EVEN,
+           "a tie at volume 1 is not yet a crossover"),
+    Mutant(_SENS, "elif diff(hi, lo, search_max) >= 0:", "elif diff(hi, lo, search_max) > 0:",
+           _BREAK_EVEN, "a tie at the search bound is domination, not a crossover"),
+    Mutant(_SENS, "diff(ka, kb, search_max)) > (0, 0)", "diff(ka, kb, search_max)) >= (0, 0)",
+           _BREAK_EVEN, "equal curves name the first scenario as the dominator"),
+    Mutant(_SENS, "search_exhausted=_limit(hi) < _limit(lo))",
+           "search_exhausted=_limit(hi) <= _limit(lo))", _BREAK_EVEN,
+           "equal limits never cross, so the search is not exhausted"),
+    Mutant(_SENS, "if diff(hi, lo, mid) < 0:", "if diff(hi, lo, mid) <= 0:", _BREAK_EVEN,
+           "the bisection keeps a tie below the crossover"),
+    Mutant("src/lcoai/decision.py", "tuning_capex.amount // advantage + 1",
+           "tuning_capex.amount // advantage", _BREAK_EVEN + ("tests/test_decision.py",),
+           "the closed-form threshold is strictly past the tie"),
+    Mutant(_SENS, "shape = kernel.volumes if any(kernel.volumes)",
+           "shape = kernel.volumes if all(kernel.volumes)", ("tests/test_kernel.py",),
+           "a projection with some zero periods keeps its shape in the limit"),
+    Mutant(_SENS, "ks = (1 - swing, 1 + swing)", "ks = (1 + swing, 1 - swing)",
+           ("tests/test_sensitivity.py",), "tornado's low end is the (1 - swing) point"),
+    # rounding
+    Mutant(_CORE, "    if 2 * r >= d:", "    if 2 * r > d:", _ROUNDING,
+           "micro-dollar ties round away from zero"),
+    Mutant(_CORE, "total_opex = (2 * opex + scale) // (2 * scale)",
+           "total_opex = (2 * opex + scale - 1) // (2 * scale)", _ROUNDING,
+           "a total OPEX of exactly half a micro-dollar rounds up"),
+    Mutant(_CORE, "rest == half and (q & 1 or root**k * den != scaled)", "rest == half and q & 1",
+           _ROUNDING, "a root whose guard digits read exactly half is settled exactly"),
+    Mutant(_CORE, "if life == HORIZON_LIFE or life >= total_months:",
+           "if life == HORIZON_LIFE or life > total_months:", _ROUNDING,
+           "an asset life equal to the horizon is spread uniformly, residual last"),
+    Mutant(_CORE, "if life == HORIZON_LIFE or life <= months:",
+           "if life == HORIZON_LIFE or life < months:", _ROUNDING,
+           "at life == months the straight-line share micro * months / life is micro "
+           "exactly, which _round_div returns unchanged", equivalent=True),
+    Mutant(_INGEST, "per_period[bisect_right(edges, record.timestamp)]",
+           "per_period[bisect_left(edges, record.timestamp)]", ("tests/test_ingest.py",),
+           "a record at a period boundary belongs to the later period"),
+    # each row of the README limits table
+    Mutant(_CLI, "if count > MAX_SWEEP_POINTS:", "if count >= MAX_SWEEP_POINTS:",
+           ("tests/test_cli.py",) + _LIMITS, "a grid of exactly the cap is built"),
+    Mutant(_CORE, "if abs(value.adjusted()) > MAX_DECIMAL_EXPONENT:",
+           "if abs(value.adjusted()) >= MAX_DECIMAL_EXPONENT:",
+           _LIMITS + ("tests/test_money.py", "tests/test_exact_ratio.py"),
+           "an exponent of exactly the bound is read"),
+    Mutant(_CORE, "if rate.denominator > 10**MAX_DECIMAL_EXPONENT:",
+           "if rate.denominator >= 10**MAX_DECIMAL_EXPONENT:",
+           _LIMITS + ("tests/test_cost_core.py",),
+           "an annual_rate with exactly the bound's decimal places is read"),
+    Mutant(_SENS, "if search_max <= 0:", "if search_max < 0:",
+           _LIMITS + ("tests/test_sensitivity.py",), "a search bound of 0 is refused"),
+    Mutant(_SENS, "if search_max > MAX_SEARCH_MAX:", "if search_max >= MAX_SEARCH_MAX:",
+           _LIMITS + ("tests/test_sensitivity.py",), "a search bound of exactly the maximum is read"),
+    Mutant(_CORE, "self.horizon.months > MAX_DISCOUNTED_MONTHS",
+           "self.horizon.months >= MAX_DISCOUNTED_MONTHS", _LIMITS + ("tests/test_cost_core.py",),
+           "a discounted horizon of exactly the cap is computed"),
+    Mutant(_CLI, "except (RecursionError, ValueError) as exc:  # too deep, or too many digits",
+           "except ValueError as exc:", _LIMITS,
+           "a scenario file nested too deep exits 4, without a traceback"),
+    Mutant(_CLI, "except (RecursionError, ValueError) as exc:  # too deep, or too many digits",
+           "except RecursionError as exc:", _LIMITS,
+           "a scenario file with a 4,301-digit integer exits 4, without a traceback"),
+    Mutant(_INGEST, "except (RecursionError, ValueError) as exc:  # too deep, or too many digits",
+           "except ValueError as exc:", _LIMITS,
+           "a telemetry line nested too deep is skipped"),
+    Mutant(_INGEST, "except (RecursionError, ValueError) as exc:  # too deep, or too many digits",
+           "except RecursionError as exc:", _LIMITS,
+           "a telemetry line with a 4,301-digit integer is skipped"),
+)
+
+
+def _pytest(tree: Path, paths) -> bool:
+    """True when pytest passes on ``paths`` in ``tree``."""
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "--hypothesis-seed=0", *paths]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    try:
+        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=900)
+    except subprocess.TimeoutExpired:  # a mutant that makes a test hang is caught too
+        return False
+    return done.returncode == 0
+
+
+def run(mutant: Mutant) -> str:
+    """killed, survived or equivalent, once the mutant is applied to a copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(ROOT, tree, ignore=_IGNORED)
+        path = tree / mutant.file
+        path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                        encoding="utf-8")
+        if not _pytest(tree, mutant.tests) or not _pytest(tree, ["tests"]):
+            return "killed"
+    return "equivalent" if mutant.equivalent else "survived"
+
+
+def main() -> int:
+    misplaced = [m for m in MUTANTS
+                 if (ROOT / m.file).read_text(encoding="utf-8").count(m.old) != 1]
+    for m in misplaced:
+        print(f"{m.file}: {m.old!r} does not occur exactly once", file=sys.stderr)
+    if misplaced:
+        return 2
+    began = time.perf_counter()
+    failures = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        outcome = run(mutant)
+        wrong = outcome == "survived" or outcome == "killed" and mutant.equivalent
+        failures += wrong
+        note = " (listed as equivalent)" if wrong and mutant.equivalent else ""
+        print(f"{outcome:<10} {time.perf_counter() - start:6.1f} s  {mutant.file}: "
+              f"{mutant.reason}{note}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {failures} not as listed, "
+          f"{time.perf_counter() - began:.1f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
