@@ -156,9 +156,10 @@ def _render_csv(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
-def build_comparison_table(scenarios: Sequence[CostScenario],
+def build_comparison_table(scenarios: Iterable[CostScenario],
                            fmt: str = "markdown") -> ReportTable:
     """The six-column comparison table, rows in ranking order."""
+    scenarios = tuple(scenarios)
     ranked = compare(scenarios) if scenarios else ()
     return ReportTable(TABLE_COLUMNS, ((
         row.scenario_name,

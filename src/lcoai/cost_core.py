@@ -124,6 +124,12 @@ def _int_ends(x: int) -> tuple:
     return (sign + str(x // 10**(digits - 20)))[:20], f"{x % 10**20:020}", len(sign) + digits
 
 
+def _is_int(value) -> bool:
+    """An int or an int subclass, but not a bool: the one integer rule for
+    counts, amounts and bounds."""
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
+
+
 def exact_ratio(value: Exact) -> tuple:
     """Exact ``(numerator, denominator)`` of decimal text, an int, a Decimal or
     a Fraction: the one way an amount, rate, multiplier or swing enters lcoai.
@@ -168,14 +174,6 @@ def usd_to_micro(usd: Exact) -> int:
     return micro
 
 
-def _micro_decimal(micro: int) -> Decimal:
-    """``micro / 10**6`` as a Decimal with exponent -6. Both steps are exact:
-    ``Decimal(int)`` and a tuple constructor ignore the context's precision,
-    where ``scaleb`` would round to it."""
-    sign, digits, exponent = Decimal(micro).as_tuple()
-    return Decimal((sign, digits, exponent - 6))
-
-
 @dataclass(frozen=True, slots=True, order=True)
 class Money:
     """An exact currency amount: an integer count of micro-dollars."""
@@ -183,47 +181,17 @@ class Money:
     amount: int
 
     def __post_init__(self):
-        amount = self.amount
-        if type(amount) is not int and (isinstance(amount, bool) or not isinstance(amount, int)):
+        if not _is_int(self.amount):
             raise TypeError("Money holds an int count of micro-dollars")
 
     @classmethod
     def from_usd(cls, usd: Exact) -> "Money":
         return cls(usd_to_micro(usd))
 
-    def __add__(self, other: "Money") -> "Money":
-        return Money(self.amount + other.amount)
-
-    def __sub__(self, other: "Money") -> "Money":
-        return Money(self.amount - other.amount)
-
-    def __mul__(self, k: int) -> "Money":
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise TypeError("Money multiplies exactly by int only; use scaled() for rationals")
-        return Money(self.amount * k)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Money":
-        return Money(-self.amount)
-
-    def __abs__(self) -> "Money":
-        return Money(abs(self.amount))
-
     def scaled(self, k: Exact) -> "Money":
         """Scale by ``k``, read by :func:`exact_ratio`, rounding half away from zero."""
         p, q = exact_ratio(k)
         return Money(_round_div(self.amount * p, q))
-
-    def per_inference(self, count: int) -> "PerInferenceRate":
-        """Divide by an inference count under the declared rounding rule."""
-        if count <= 0:
-            raise ValueError("inference count must be positive")
-        return PerInferenceRate(_round_div(self.amount, count))
-
-    def as_usd(self) -> Decimal:
-        """Exact USD value as a Decimal, whatever the decimal context."""
-        return _micro_decimal(self.amount)
 
     def usd_string(self) -> str:
         return decimal_text(Fraction(self.amount, MICRO_PER_USD))
@@ -242,33 +210,18 @@ class PerInferenceRate:
     rate: int
 
     def __post_init__(self):
-        rate = self.rate
-        if type(rate) is not int and (isinstance(rate, bool) or not isinstance(rate, int)):
+        if not _is_int(self.rate):
             raise TypeError("PerInferenceRate holds an int count of micro-dollars")
-        if rate < 0:
+        if self.rate < 0:
             raise ValueError("per-inference rate must be non-negative")
 
     @classmethod
     def from_usd(cls, usd: Exact) -> "PerInferenceRate":
         return cls(usd_to_micro(usd))
 
-    def per_thousand(self) -> Money:
-        """The reporting unit: exact cost per 1,000 inferences."""
-        return Money(self.rate * 1000)
-
-    def total_for(self, inferences: int) -> Money:
-        """Exact cost of the given inference count at this rate."""
-        if inferences < 0:
-            raise ValueError("inference count must be non-negative")
-        return Money(self.rate * inferences)
-
     def scaled(self, k: Exact) -> "PerInferenceRate":
         p, q = exact_ratio(k)
         return PerInferenceRate(_round_div(self.rate * p, q))
-
-    def as_usd(self) -> Decimal:
-        """Exact USD value as a Decimal, whatever the decimal context."""
-        return _micro_decimal(self.rate)
 
     def usd_string(self) -> str:
         return decimal_text(Fraction(self.rate, MICRO_PER_USD))
@@ -291,8 +244,7 @@ class CapexItem:
         if not isinstance(self.label, str) or not self.label:
             raise FieldError("label", "required non-empty string")
         life = self.asset_life_months
-        if life != HORIZON_LIFE and (type(life) is not int and (
-                isinstance(life, bool) or not isinstance(life, int)) or life <= 0):
+        if life != HORIZON_LIFE and (not _is_int(life) or life <= 0):
             raise FieldError("asset_life_months", 'must be a positive integer or "horizon"')
         if self.amount.amount < 0:
             raise ValueError("CAPEX amount must be non-negative")
@@ -309,10 +261,6 @@ class OpexModel:
         if self.fixed_per_period.amount < 0:
             raise ValueError("fixed_per_period must be non-negative")
 
-    def period_total(self, inferences: int) -> Money:
-        """Exact OPEX for one period with the given inference count."""
-        return self.fixed_per_period + self.per_inference.total_for(inferences)
-
 
 @dataclass(frozen=True, slots=True)
 class VolumeProjection:
@@ -326,9 +274,7 @@ class VolumeProjection:
         if not entries:
             raise FieldError("per_period", "projection needs at least one period")
         for k, v in enumerate(entries):
-            if type(v) is int and v >= 0:
-                continue
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            if not _is_int(v) or v < 0:
                 raise FieldError(f"per_period[{k}]", "must be a non-negative integer")
 
     @property
@@ -345,10 +291,9 @@ class Horizon:
 
     def __post_init__(self):
         periods, plm = self.periods, self.period_length_months
-        if type(periods) is not int and (
-                isinstance(periods, bool) or not isinstance(periods, int)) or periods <= 0:
+        if not _is_int(periods) or periods <= 0:
             raise InvalidHorizonError("horizon needs a positive period count")
-        if type(plm) is not int and (isinstance(plm, bool) or not isinstance(plm, int)) or plm <= 0:
+        if not _is_int(plm) or plm <= 0:
             raise InvalidHorizonError("period length must be a positive month count")
 
     @property

@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .cost_core import (
     CompiledScenario,
@@ -59,7 +59,7 @@ class FineTuneDecision:
     threshold_volume: Optional[int]
 
 
-def compare(scenarios: Sequence[CostScenario]) -> list:
+def compare(scenarios: Iterable[CostScenario]) -> list:
     """Rank scenarios by cost per 1,000, cheapest first: the rows of the
     ``table`` command.
 
@@ -70,6 +70,7 @@ def compare(scenarios: Sequence[CostScenario]) -> list:
     figures :func:`~lcoai.cost_core.compute_lcoai` reports, and the ranking
     sorts on integers.
     """
+    scenarios = tuple(scenarios)
     if not scenarios:
         raise ValueError("compare needs at least one scenario")
     counts = Counter(s.name for s in scenarios)
@@ -96,7 +97,7 @@ def baseline_savings(lcoai: LcoaiResult, baseline_per_thousand: Money) -> Baseli
     """Exact baseline minus LCOAI, per 1,000 inferences."""
     if baseline_per_thousand.amount < 0:
         raise ValueError("baseline must be non-negative")
-    savings = baseline_per_thousand - lcoai.per_thousand
+    savings = Money(baseline_per_thousand.amount - lcoai.per_thousand.amount)
     ratio = None
     if baseline_per_thousand.amount > 0:
         ratio = Fraction(savings.amount, baseline_per_thousand.amount)

@@ -27,6 +27,7 @@ from .cost_core import (
     Money,
     PerInferenceRate,
     VolumeProjection,
+    _is_int,
     compute_lcoai,
     exact_ratio,
     round_half_away,
@@ -64,8 +65,7 @@ class SweepSpec:
         if not points:
             raise ValueError("sweep needs at least one point")
         if self.parameter == "volume":
-            if not all(isinstance(p, int) and not isinstance(p, bool) for p in points) \
-                    or min(points) < 0:
+            if not all(map(_is_int, points)) or min(points) < 0:
                 raise ValueError("volume points must be non-negative integers")
             increasing = all(map(lt, points, points[1:]))
         elif self.parameter == "opex_rate":
@@ -242,7 +242,7 @@ def break_even(a: CostScenario, b: CostScenario,
     [1, :data:`MAX_SEARCH_MAX`]. Scenarios with differing horizons are not
     comparable.
     """
-    if isinstance(search_max, bool) or not isinstance(search_max, int):
+    if not _is_int(search_max):
         raise TypeError("search_max must be an int")
     if search_max <= 0:
         raise ValueError("search_max must be positive")

@@ -26,6 +26,7 @@ from lcoai import (
 )
 from lcoai.cli_report import MAX_SWEEP_POINTS, _sweep_points, main
 from lcoai.cost_core import MAX_DECIMAL_EXPONENT, MAX_DISCOUNTED_MONTHS, decimal_text, exact_ratio
+from lcoai.errors import decode_error_message
 from lcoai.sensitivity import MAX_SEARCH_MAX, SweepSpec, sweep
 
 from conftest import FIXTURES, GOLDEN, simple_scenario
@@ -730,6 +731,23 @@ class TestCliCommands:
             assert main(["--strict", "ingest", str(log)]) == 4
             assert capsys.readouterr().err == (
                 f"error: line 2: not valid JSON: trailing comma before the end of an {kind}\n")
+
+    @pytest.mark.parametrize("doc, msg, pos, kind", [
+        # Pythons before 3.13 point at the bracket, 3.13 at the comma; each
+        # decoder's form is built here, so every branch runs on every Python
+        ('{"a": 1,\n}', "Expecting property name enclosed in double quotes", 9, "object"),
+        ('{"a": 1,\n}', "Illegal trailing comma before end of object", 7, "object"),
+        ("[1,\r\n\t ]", "Expecting value", 7, "array"),
+        ("[1, ]", "Illegal trailing comma before end of array", 2, "array"),
+    ])
+    def test_trailing_comma_in_either_decoders_words(self, doc, msg, pos, kind):
+        assert decode_error_message(json.JSONDecodeError(msg, doc, pos)) == (
+            f"not valid JSON: trailing comma before the end of an {kind}", 1)
+
+    def test_other_decode_errors_keep_the_decoders_words(self):
+        # "Expecting value" at a bracket, but after a colon, not a comma
+        exc = json.JSONDecodeError("Expecting value", '{"a":\n]', 6)
+        assert decode_error_message(exc) == ("not valid JSON: Expecting value", 2)
 
     @pytest.mark.parametrize("start", ["9999-12-31T23:00:00-05:00", "0001-01-01T00:00:00+01:00"])
     def test_ingest_start_out_of_range_exits_1(self, start, capsys):

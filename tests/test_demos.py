@@ -1,4 +1,5 @@
-"""Every walkthrough in demos/ runs to completion against the sources."""
+"""Every walkthrough in demos/ and the README's library quick start run to
+completion against the sources."""
 
 import os
 import subprocess
@@ -18,3 +19,18 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_library_quick_start_prints_its_comments():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # each print line ends with a comment giving what it prints
+    expected = [line.rsplit("#", 1)[1].strip() for line in code.splitlines()
+                if line.startswith("print(")]
+    assert expected
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == expected

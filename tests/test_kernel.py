@@ -48,7 +48,8 @@ def reference_lcoai(s: CostScenario) -> tuple:
     capex = sum(c.amount for c in amortize_capex(s.capex, s.horizon))
     factors = [discount_factor(s.discount, t, s.horizon.period_length_months)
                for t in range(1, len(volumes) + 1)]
-    opex = sum(f * s.opex.period_total(v).amount for f, v in zip(factors, volumes))
+    fixed, rate = s.opex.fixed_per_period.amount, s.opex.per_inference.rate
+    opex = sum(f * (fixed + rate * v) for f, v in zip(factors, volumes))
     if s.discount.is_discounting and s.discount.discount_denominator:
         denominator = sum(f * v for f, v in zip(factors, volumes))
     else:

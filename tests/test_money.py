@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lcoai import Money, PerInferenceRate, VolumeProjection, round_half_away, usd_to_micro
+from lcoai import (CapexItem, Horizon, Money, PerInferenceRate, SweepSpec, VolumeProjection,
+                   round_half_away, usd_to_micro)
 from lcoai.cost_core import MAX_DECIMAL_EXPONENT, decimal_text
 
 
@@ -96,68 +97,33 @@ class TestUsdParsing:
 
 
 class TestMoney:
-    def test_exact_arithmetic(self):
-        a = Money.from_usd("0.10")
-        b = Money.from_usd("0.20")
-        assert (a + b).amount == 300_000  # no binary-float drift possible
-        assert (b - a) == a
-        assert (a * 3).amount == 300_000
-        assert (3 * a) == a * 3
-
     def test_float_amount_refused(self):
         with pytest.raises(TypeError):
             Money(1.5)
-
-    def test_non_int_multiplier_refused(self):
-        with pytest.raises(TypeError):
-            Money(100) * 0.5
 
     def test_scaled_rounds_half_away(self):
         assert Money(5).scaled(Fraction(1, 2)).amount == 3
         assert Money(-5).scaled(Fraction(1, 2)).amount == -3
         assert Money(100).scaled(Fraction(7, 10)).amount == 70
 
-    def test_per_inference_division(self):
-        total = Money.from_usd("150000")
-        assert total.per_inference(10_000_000).rate == 15_000
-        # 1,000,000 / 3 = 333,333.33.. micro -> rounds to 333,333
-        assert Money(1_000_000).per_inference(3).rate == 333_333
-        with pytest.raises(ValueError):
-            total.per_inference(0)
-
     def test_ordering(self):
         assert Money(1) < Money(2)
         assert max(Money(5), Money(3)) == Money(5)
-
-    def test_negation_and_abs(self):
-        assert -Money(7) == Money(-7)
-        assert abs(Money(-7)) == Money(7)
 
     @given(st.integers(min_value=-10**15, max_value=10**15))
     def test_usd_string_round_trips(self, micro):
         m = Money(micro)
         assert Money.from_usd(m.usd_string()) == m
 
-    def test_as_usd_is_exact(self):
-        assert Money(4_800).as_usd() == Decimal("0.0048")
-
-    @pytest.mark.parametrize("prec", [None, 3])
-    def test_as_usd_keeps_every_digit_in_any_context(self, prec):
-        with decimal.localcontext() as ctx:
-            if prec:
-                ctx.prec = prec
-            money = Money(10**40 + 1).as_usd()
-            rate = PerInferenceRate(10**30 + 7).as_usd()
-        assert money == Decimal("10000000000000000000000000000000000.000001")
-        assert str(money) == "10000000000000000000000000000000000.000001"
-        assert str(rate) == "1000000000000000000000000.000007"
-        assert str(Money(-1_500_000).as_usd()) == "-1.500000"
-
     def test_bool_refused_and_int_subclasses_accepted(self):
         class Count(int):
             pass
 
-        for build in (Money, PerInferenceRate, lambda v: VolumeProjection((v,))):
+        # every holder of the one integer rule, cost_core._is_int
+        for build in (Money, PerInferenceRate, lambda v: VolumeProjection((v,)),
+                      lambda v: Horizon(v, 12), lambda v: Horizon(1, v),
+                      lambda v: CapexItem("c", Money(1), v),
+                      lambda v: SweepSpec("volume", (v,))):
             with pytest.raises((TypeError, ValueError)):
                 build(True)
             build(Count(3))
@@ -203,16 +169,6 @@ class TestPerInferenceRate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             PerInferenceRate(-1)
-
-    def test_per_thousand_is_exact_multiplication(self):
-        assert PerInferenceRate(4_800).per_thousand() == Money(4_800_000)
-
-    @given(st.integers(min_value=0, max_value=10**12))
-    def test_per_thousand_property(self, rate):
-        assert PerInferenceRate(rate).per_thousand().amount == rate * 1000
-
-    def test_total_for(self):
-        assert PerInferenceRate.from_usd("0.01").total_for(10_000_000) == Money.from_usd("100000")
 
     def test_scaled(self):
         assert PerInferenceRate(4_800).scaled(Fraction(7, 10)).rate == 3_360

@@ -6,7 +6,7 @@ Runs one fixed corpus of commands on every interpreter named in the
 and compares each case's stdout, stderr and exit code byte for byte with the
 first interpreter's. Every case runs from the repository root with
 ``PYTHONPATH=src`` and ``python -W error``: CLI cases as ``python -m lcoai``,
-the demos as scripts. A warning that one interpreter raises (a deprecation,
+the demos as scripts, and the README's library quick start as ``-c`` code. A warning that one interpreter raises (a deprecation,
 say) is then an error there, and so a difference.
 The ``table`` cases run ``fixtures/table1.json`` with its scenarios in every
 order under three hash seeds, and must also print the same as each other.
@@ -57,6 +57,13 @@ def _wacc(rate: str, periods: int, months: int, denominator: bool) -> dict:
                          "discount_denominator": denominator}}
 
 
+def _readme_python(heading: str) -> str:
+    """The first python code block under a README heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"## {heading}\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def corpus(tmp: Path) -> list:
     """(name, arguments after the interpreter, extra environment, group) per case."""
     cli = ["-m", "lcoai"]
@@ -68,7 +75,8 @@ def corpus(tmp: Path) -> list:
                                "--stop", "50000000", "--step", "1000000"]),
         ("golden fig3", cli + ["sweep", TABLE1, GPT, "opex_rate", "--start", "0.001",
                                "--stop", "0.02", "--step", "0.001"]),
-        # the README quick start
+        # the README quick starts
+        ("readme library", ["-c", _readme_python("Quick start (library)")]),
         ("readme compute", cli + ["compute", TABLE1, GPT]),
         ("readme breakeven", cli + ["breakeven", TABLE1, LLAMA, GPT]),
         ("readme finetune", cli + ["finetune", "--base", "0.010", "--tuned", "0.005",

@@ -46,6 +46,7 @@ _SENS = "src/lcoai/sensitivity.py"
 _CORE = "src/lcoai/cost_core.py"
 _CLI = "src/lcoai/cli_report.py"
 _INGEST = "src/lcoai/ingest.py"
+_ERRORS = "src/lcoai/errors.py"
 _BREAK_EVEN = ("tests/test_sensitivity.py", "tests/test_kernel.py")
 _ROUNDING = ("tests/test_money.py", "tests/test_cost_core.py")
 _LIMITS = ("tests/test_limits.py",)
@@ -119,6 +120,19 @@ MUTANTS = (
     Mutant(_INGEST, "except (RecursionError, ValueError) as exc:  # too deep, or too many digits",
            "except RecursionError as exc:", _LIMITS,
            "a telemetry line with a 4,301-digit integer is skipped"),
+    # the decoder wording: a trailing comma reads the same on every Python
+    Mutant(_ERRORS, 'kind = "array" if', 'kind = "object" if', ("tests/test_cli.py",),
+           "a trailing comma before ] is named for an array"),
+    Mutant(_ERRORS, 'doc.count("\\n", 0, comma) + 1)', 'doc.count("\\n", 0, comma))',
+           ("tests/test_cli.py",), "lines are numbered from 1"),
+    Mutant(_ERRORS, 'doc[:pos].rstrip(" \\t\\n\\r")', 'doc[:pos].rstrip(" \\n")',
+           ("tests/test_cli.py",), "any JSON whitespace may stand between the comma and the bracket"),
+    Mutant(_ERRORS, "comma = pos\n", "comma = pos + 1\n", ("tests/test_cli.py",),
+           "Python 3.13 places its trailing-comma error at the comma"),
+    # the one integer rule
+    Mutant(_CORE, "isinstance(value, int) and not isinstance(value, bool)",
+           "isinstance(value, int)", ("tests/test_money.py", "tests/test_cost_core.py"),
+           "a bool is not a count, an amount or a bound"),
 )
 
 
