@@ -393,6 +393,17 @@ class TestComputeLcoai:
         with pytest.raises(UndefinedMetricError):
             compute_lcoai(simple_scenario("empty", "100", "0.01", 0))
 
+    @pytest.mark.parametrize("capex_usd, volume, rate", [
+        ("150000", 10_000_000, 15_000),
+        ("1", 3, 333_333),          # 333,333.33.. rounds down
+        ("2", 3, 666_667),          # 666,666.66.. rounds up
+        ("0.000005", 2, 3),         # exactly 2.5 rounds away from zero
+    ])
+    def test_per_inference_rounds_the_exact_value_half_away(self, capex_usd, volume, rate):
+        result = compute_lcoai(simple_scenario("div", capex_usd, "0", volume))
+        assert result.per_inference.rate == rate
+        assert result.exact_per_inference == Fraction(Money.from_usd(capex_usd).amount, volume)
+
     def test_per_thousand_is_exactly_thousandfold(self, llama):
         result = compute_lcoai(llama)
         assert result.per_thousand.amount == result.per_inference.rate * 1000
@@ -522,6 +533,20 @@ class TestComputeProperties:
         result = compute_lcoai(_analytic(capex, rate, volume))
         assert result.exact_per_inference - rate == Fraction(capex, volume)
         assert result.per_inference.rate - rate == round_half_away(Fraction(capex, volume))
+
+    @settings(max_examples=100)
+    @given(rate=_rate, fixed=st.integers(min_value=0, max_value=10**9),
+           volumes=st.lists(_volume, min_size=1, max_size=6))
+    def test_undiscounted_opex_is_fixed_per_period_plus_rate_times_volume(
+            self, rate, fixed, volumes):
+        result = compute_lcoai(CostScenario(
+            name="opex",
+            capex=(),
+            opex=OpexModel(PerInferenceRate(rate), Money(fixed)),
+            volume=VolumeProjection(volumes),
+            horizon=Horizon(len(volumes), 12),
+        ))
+        assert result.total_opex == Money(fixed * len(volumes) + rate * sum(volumes))
 
     @settings(max_examples=100)
     @given(

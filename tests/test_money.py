@@ -136,6 +136,18 @@ class TestMoney:
         assert Money(micro).usd_string() == text
         assert PerInferenceRate(abs(micro)).usd_string() == text.lstrip("-")
 
+    @pytest.mark.parametrize("prec", [None, 3])
+    def test_usd_string_keeps_every_digit_in_any_context(self, prec):
+        with decimal.localcontext() as ctx:
+            if prec:
+                ctx.prec = prec
+            money = Money(10**40 + 1)
+            texts = (money.usd_string(), str(money), PerInferenceRate(10**30 + 7).usd_string(),
+                     Money(-1_500_000).usd_string())
+        assert texts == ("10000000000000000000000000000000000.000001",
+                         "$10000000000000000000000000000000000.000001",
+                         "1000000000000000000000000.000007", "-1.5")
+
 
 class TestDecimalText:
     @pytest.mark.parametrize("value, text", [
