@@ -6,6 +6,8 @@ solves break-even volumes between alternatives, and counts valid inferences
 from telemetry logs.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cost_core import (
     HORIZON_LIFE,
     MICRO_PER_USD,
@@ -78,62 +80,6 @@ from .cli_report import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaselineComparison",
-    "BreakEvenResult",
-    "CapexItem",
-    "ComparisonRow",
-    "CostScenario",
-    "DiscountPolicy",
-    "FieldError",
-    "FineTuneDecision",
-    "HORIZON_LIFE",
-    "Horizon",
-    "IncompatibleScenariosError",
-    "InferenceRecord",
-    "InvalidHorizonError",
-    "LcoaiError",
-    "LcoaiResult",
-    "LogParseError",
-    "MICRO_PER_USD",
-    "Money",
-    "NO_DISCOUNT",
-    "OpexModel",
-    "ParseResult",
-    "PerInferenceRate",
-    "RecordKind",
-    "RecordStatus",
-    "ReportTable",
-    "ScenarioFileError",
-    "SweepResult",
-    "SweepSpec",
-    "TornadoEntry",
-    "UndefinedMetricError",
-    "VolumeCount",
-    "VolumeProjection",
-    "amortize_capex",
-    "baseline_savings",
-    "break_even",
-    "build_comparison_table",
-    "compare",
-    "compute_lcoai",
-    "count_valid",
-    "discount_factor",
-    "fine_tune_threshold",
-    "format_rate",
-    "format_usd",
-    "load_scenarios",
-    "parse_log",
-    "parse_rfc3339",
-    "round_half_away",
-    "save_scenarios",
-    "scenarios_from_dict",
-    "scenarios_to_dict",
-    "sweep",
-    "sweep_series_csv",
-    "tornado",
-    "usd_to_micro",
-    "with_capex_scaled",
-    "with_opex_rate",
-    "with_total_volume",
-]
+# every public name imported above; the submodules bound by those imports are not
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -30,12 +30,13 @@ from .cost_core import (
     OpexModel,
     PerInferenceRate,
     VolumeProjection,
+    _echo,
     _fixed_point,
     _round_div,
+    bounded_places,
     compute_lcoai,
     decimal_places,
     decimal_text,
-    exact_ratio,
     round_half_away,
     usd_to_micro,
 )
@@ -477,13 +478,26 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _grid_int(text: str) -> int:
+    """``int(text)``, worded by lcoai when the text has more digits than the
+    interpreter's integer-string limit: each Python words that differently."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if not limit or sum(map(str.isdecimal, text)) <= limit:
+            raise
+    raise ValueError(f"{_echo(text)!r} exceeds the limit ({limit} digits) "
+                     "for integer string conversion")
+
+
 def _sweep_points(parameter: str, start: str, stop: str, step: str) -> list:
     if parameter == "volume":
-        first, last, delta = int(start), int(stop), int(step)
+        first, last, delta = map(_grid_int, (start, stop, step))
     elif parameter == "opex_rate":
-        first, last, delta = (usd_to_micro(v) for v in (start, stop, step))
-    else:
-        first, last, delta = (Fraction(*exact_ratio(v)) for v in (start, stop, step))
+        first, last, delta = map(usd_to_micro, (start, stop, step))
+    else:  # bounded before any grid point is built
+        first, last, delta = map(bounded_places, (start, stop, step))
     if delta <= 0:
         raise ValueError("step must be positive")
     if last < first:

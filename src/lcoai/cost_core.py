@@ -106,22 +106,7 @@ def _echo(text: str) -> str:
     out, so that a 5,000-digit amount cannot make a 5,000-character message."""
     if len(text) <= 60:
         return text
-    return _left_out(text[:20], text[-20:], len(text))
-
-
-def _left_out(head: str, tail: str, length: int) -> str:
-    return f"{head}[{length - 40:,} characters left out]{tail}"
-
-
-def _int_ends(x: int) -> tuple:
-    """The first and last 20 characters of ``str(x)`` and its length, which
-    hold past the interpreter's integer-string limit, where ``str(x)`` raises."""
-    if abs(x) < 10**40:
-        return str(x)[:20], str(x)[-20:], len(str(x))
-    sign, x = "-" if x < 0 else "", abs(x)
-    digits = int(math.log10(x)) + 1  # one off at most, where log10 rounds
-    digits += (x >= 10**digits) - (x < 10**(digits - 1))
-    return (sign + str(x // 10**(digits - 20)))[:20], f"{x % 10**20:020}", len(sign) + digits
+    return f"{text[:20]}[{len(text) - 40:,} characters left out]{text[-20:]}"
 
 
 def _is_int(value) -> bool:
@@ -158,6 +143,18 @@ def exact_ratio(value: Exact) -> tuple:
     return value.as_integer_ratio()
 
 
+def bounded_places(value: Exact) -> Fraction:
+    """The Fraction of ``value``, read by :func:`exact_ratio`, when it has at
+    most :data:`MAX_DECIMAL_EXPONENT` decimal places; a larger denominator
+    raises ``ValueError``. The exponent bound alone leaves the digits of text
+    such as "0.1111..." unbounded."""
+    value = Fraction(*exact_ratio(value))
+    if value.denominator > 10**MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"more than {MAX_DECIMAL_EXPONENT} decimal places "
+                         f"(a denominator over 10^{MAX_DECIMAL_EXPONENT})")
+    return value
+
+
 def usd_to_micro(usd: Exact) -> int:
     """Convert an exact USD quantity, read by :func:`exact_ratio`, to integer
     micro-dollars; anything finer than micro-dollar resolution (6 decimal
@@ -165,12 +162,11 @@ def usd_to_micro(usd: Exact) -> int:
     numerator, denominator = exact_ratio(usd)
     micro, rest = divmod(numerator * MICRO_PER_USD, denominator)
     if rest:
-        try:
-            text = _echo(str(usd))
-        except ValueError:  # str() of a Fraction with a part past the integer-string limit
-            (nh, nt, nl), (dh, dt, dl) = map(_int_ends, (numerator, denominator))
-            text = _left_out(f"{nh}/{dh}"[:20], f"{nt}/{dt}"[-20:], nl + 1 + dl)
-        raise ValueError(f"{text} exceeds micro-dollar resolution (6 decimal places)")
+        # Decimal writes an int past the interpreter's integer-string limit,
+        # where str() of a Fraction raises
+        text = (f"{Decimal(numerator)}/{Decimal(denominator)}" if isinstance(usd, Fraction)
+                else str(usd))
+        raise ValueError(f"{_echo(text)} exceeds micro-dollar resolution (6 decimal places)")
     return micro
 
 
@@ -327,14 +323,10 @@ class DiscountPolicy:
                 raise FieldError("annual_rate", "wacc mode requires an annual_rate")
             return
         try:
-            rate = Fraction(*exact_ratio(self.annual_rate))
+            # whole-year factors are exact powers of the rate
+            rate = bounded_places(self.annual_rate)
         except ValueError as exc:
             raise FieldError("annual_rate", str(exc)) from None
-        # whole-year factors are exact powers of the rate, whose digits the
-        # exponent bound alone leaves unbounded
-        if rate.denominator > 10**MAX_DECIMAL_EXPONENT:
-            raise FieldError("annual_rate", f"more than {MAX_DECIMAL_EXPONENT} decimal places "
-                                            f"(a denominator over 10^{MAX_DECIMAL_EXPONENT})")
         object.__setattr__(self, "annual_rate", rate)
         if rate < 0:
             raise ValueError("annual_rate must be non-negative")
@@ -554,8 +546,8 @@ class CompiledScenario:
     same. Evaluation is split in two: :meth:`volume_terms` reduces a volume
     vector to ``(sum(w_t * v_t), D)`` in O(periods), and :meth:`combine`
     finishes a point from those terms, o and C in O(1), so a series that
-    keeps its volumes computes the terms once. :meth:`evaluate` is the two
-    steps in turn. Instances are never mutated after construction.
+    keeps its volumes computes the terms once. Instances are never mutated
+    after construction.
     """
 
     __slots__ = ("scenario", "volumes", "rate", "capex", "fixed", "scale", "weights",
@@ -620,10 +612,6 @@ class CompiledScenario:
         per_inference = (2 * (capex + total_opex) * scale + denominator) // (2 * denominator)
         return numerator, denominator, total_opex, per_inference
 
-    def evaluate(self, volumes: tuple, rate: int, capex: int) -> tuple:
-        """:meth:`combine` at :meth:`volume_terms` of ``volumes``."""
-        return self.combine(self.volume_terms(volumes), rate, capex)
-
 
 def compute_lcoai(scenario: CostScenario) -> LcoaiResult:
     """Levelized cost of the scenario, with full decomposition.
@@ -636,8 +624,8 @@ def compute_lcoai(scenario: CostScenario) -> LcoaiResult:
     zero.
     """
     kernel = CompiledScenario(scenario)
-    numerator, denominator, total_opex, rate = kernel.evaluate(
-        kernel.volumes, kernel.rate, kernel.capex)
+    numerator, denominator, total_opex, rate = kernel.combine(
+        kernel.volume_terms(kernel.volumes), kernel.rate, kernel.capex)
     discounted = scenario.discount.is_discounting
     return LcoaiResult(
         scenario_name=scenario.name,

@@ -80,7 +80,8 @@ def compare(scenarios: Iterable[CostScenario]) -> list:
     rows = []
     for scenario in scenarios:
         kernel = CompiledScenario(scenario)
-        _, _, total_opex, rate = kernel.evaluate(kernel.volumes, kernel.rate, kernel.capex)
+        _, _, total_opex, rate = kernel.combine(kernel.volume_terms(kernel.volumes),
+                                                kernel.rate, kernel.capex)
         rows.append(ComparisonRow(
             scenario_name=scenario.name,
             capex_total=scenario.capex_total,

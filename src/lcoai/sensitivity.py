@@ -251,14 +251,11 @@ def break_even(a: CostScenario, b: CostScenario,
     if a.horizon != b.horizon:
         raise IncompatibleScenariosError(
             f"horizons differ: {a.horizon} vs {b.horizon}")
-    return _break_even(a, b, search_max)
 
-
-def _break_even(a: CostScenario, b: CostScenario, search_max: int) -> BreakEvenResult:
     def exact(kernel: CompiledScenario, volume: int) -> tuple:
         # (numerator, denominator) of the exact cost per inference at a volume
-        return kernel.evaluate(_rescaled(kernel.volumes, volume), kernel.rate,
-                               kernel.capex)[:2]
+        terms = kernel.volume_terms(_rescaled(kernel.volumes, volume))
+        return kernel.combine(terms, kernel.rate, kernel.capex)[:2]
 
     def diff(x: CompiledScenario, y: CompiledScenario, volume: int) -> int:
         # has the sign of x's cost minus y's: both denominators are positive

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -583,6 +584,47 @@ class TestCliCommands:
         assert _sweep_points("capex_multiplier", "0.5", "1.2", "0.25") == [
             Fraction(1, 2), Fraction(3, 4), Fraction(1)]
         assert _sweep_points("volume", "0", "10", "5") == [0, 5, 10]
+
+    def test_sweep_capex_grid_values_have_at_most_100_places(self, capsys):
+        places = "0." + "0" * (MAX_DECIMAL_EXPONENT - 1) + "1"
+        assert _sweep_points("capex_multiplier", "1", "1", places) == [Fraction(1)]
+        # 20,000 places: refused before the grid is built, not after minutes
+        step = "0.000999" + "9" * 19_994
+        began = time.perf_counter()
+        code = main(["sweep", str(FIXTURES / "table1.json"), "GPT-4.1 API",
+                     "capex_multiplier", "--start", "1", "--stop", "2", "--step", step])
+        assert time.perf_counter() - began < 1
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: more than {MAX_DECIMAL_EXPONENT} decimal places "
+            f"(a denominator over 10^{MAX_DECIMAL_EXPONENT})\n")
+
+    @pytest.mark.parametrize("start", ["9" * 4_301, "9" * 4_301 + "x", "x" + "9" * 5_000,
+                                       "9_" * 4_300 + "9"])
+    def test_sweep_volume_past_the_integer_string_limit_in_lcoai_words(self, start, capsys):
+        code = main(["sweep", str(FIXTURES / "table1.json"), "GPT-4.1 API", "volume",
+                     "--start", start, "--stop", "1", "--step", "1"])
+        assert code == 1
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == (
+            f"error: '{start[:20]}[{len(start) - 40:,} characters left out]{start[-20:]}' "
+            f"exceeds the limit ({limit} digits) for integer string conversion\n")
+
+    def test_sweep_volume_keeps_the_int_grammar(self):
+        assert _sweep_points("volume", " 1_000 ", "+2000", "\u0661\u0660\u0660\u0660") == [
+            1000, 2000]
+        # a malformed value with no more digits than the limit keeps int()'s words
+        for start in ("abc", "9" * 4_300 + "x"):
+            with pytest.raises(ValueError, match="invalid literal for int"):
+                _sweep_points("volume", start, "1", "1")
+        # with the limit off (0), int() refuses only malformed text
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(ValueError, match="invalid literal for int"):
+                _sweep_points("volume", "9" * 5_000 + "x", "1", "1")
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_breakeven_prints_crossover(self, capsys):
         code = main(["breakeven", str(FIXTURES / "table1.json"),

@@ -126,8 +126,12 @@ class TestExactRatio:
         ("usd_to_micro", Fraction(1, 3 * 10**5000),
          f"1/3{'0' * 17}[4,963 characters left out]{'0' * 20} "
          "exceeds micro-dollar resolution (6 decimal places)"),
+        ("usd_to_micro", Fraction(-1, 3 * 10**5000),
+         f"-1/3{'0' * 16}[4,964 characters left out]{'0' * 20} "
+         "exceeds micro-dollar resolution (6 decimal places)"),
     ], ids=["malformed", "non-finite", "exponent", "resolution", "60 characters",
             "61 characters", "long non-finite", "long exponent", "long resolution",
-            "Fraction resolution", "Fraction past the integer-string limit"])
+            "Fraction resolution", "Fraction past the integer-string limit",
+            "negative Fraction past the integer-string limit"])
     def test_messages(self, site, value, message):
         assert _outcome(site, value) == (ValueError, message)

@@ -66,10 +66,13 @@ LIMITS = {
             "sweep", TABLE1, GPT, "capex_multiplier", "--start", "1", "--stop", "2",
             "--step", f"1e-{MAX_DECIMAL_EXPONENT + 1}"], 1),
     ],
-    "`annual_rate` decimal places": [
+    "`annual_rate` decimal places (and `capex_multiplier` grid values)": [
         ("annual_rate in a file", lambda tmp: ["table", _scenario_file(
             tmp, discount={"mode": "wacc",
                            "annual_rate": "0." + "1" * (MAX_DECIMAL_EXPONENT + 1)})], 4),
+        ("grid step on the command line", lambda tmp: [
+            "sweep", TABLE1, GPT, "capex_multiplier", "--start", "1", "--stop", "2",
+            "--step", "0." + "1" * (MAX_DECIMAL_EXPONENT + 1)], 1),
     ],
     "`breakeven --search-max`": [
         ("zero", lambda tmp: ["breakeven", TABLE1, LLAMA, GPT, "--search-max", "0"], 1),
@@ -94,6 +97,11 @@ LIMITS = {
             tmp, "digits.jsonl", f'{_INFERENCE}\n{_INFERENCE[:-1]}, "n": {_DIGITS}}}\n')], 0),
         ("telemetry line, strict", lambda tmp: ["--strict", "ingest", _text_file(
             tmp, "digits.jsonl", f'{_INFERENCE}\n{_INFERENCE[:-1]}, "n": {_DIGITS}}}\n')], 4),
+    ],
+    "`volume` grid value digits": [
+        ("grid start on the command line", lambda tmp: [
+            "sweep", TABLE1, GPT, "volume", "--start", _DIGITS, "--stop", "1", "--step", "1"],
+         1),
     ],
 }
 

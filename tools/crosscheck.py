@@ -112,6 +112,14 @@ def corpus(tmp: Path) -> list:
         ("limit exponent on command line", cli + ["sweep", TABLE1, GPT, "capex_multiplier",
                                                   "--start", "1", "--stop", "2",
                                                   "--step", "1e-101"]),
+        ("limit grid value decimal places", cli + ["sweep", TABLE1, GPT, "capex_multiplier",
+                                                   "--start", "1", "--stop", "2",
+                                                   "--step", "0." + "1" * 101]),
+        ("limit grid value digits", cli + ["sweep", TABLE1, GPT, "volume", "--start", digits,
+                                           "--stop", "1", "--step", "1"]),
+        ("limit grid value digits, malformed", cli + ["sweep", TABLE1, GPT, "volume",
+                                                      "--start", digits + "x",
+                                                      "--stop", "1", "--step", "1"]),
         ("limit search-max 0", cli + ["breakeven", TABLE1, LLAMA, GPT, "--search-max", "0"]),
         ("limit search-max 10^18+1", cli + ["breakeven", TABLE1, LLAMA, GPT,
                                             "--search-max", str(10**18 + 1)]),

@@ -47,6 +47,7 @@ _CORE = "src/lcoai/cost_core.py"
 _CLI = "src/lcoai/cli_report.py"
 _INGEST = "src/lcoai/ingest.py"
 _ERRORS = "src/lcoai/errors.py"
+_INIT = "src/lcoai/__init__.py"
 _BREAK_EVEN = ("tests/test_sensitivity.py", "tests/test_kernel.py")
 _ROUNDING = ("tests/test_money.py", "tests/test_cost_core.py")
 _LIMITS = ("tests/test_limits.py",)
@@ -97,10 +98,13 @@ MUTANTS = (
            "if abs(value.adjusted()) >= MAX_DECIMAL_EXPONENT:",
            _LIMITS + ("tests/test_money.py", "tests/test_exact_ratio.py"),
            "an exponent of exactly the bound is read"),
-    Mutant(_CORE, "if rate.denominator > 10**MAX_DECIMAL_EXPONENT:",
-           "if rate.denominator >= 10**MAX_DECIMAL_EXPONENT:",
-           _LIMITS + ("tests/test_cost_core.py",),
-           "an annual_rate with exactly the bound's decimal places is read"),
+    Mutant(_CORE, "if value.denominator > 10**MAX_DECIMAL_EXPONENT:",
+           "if value.denominator >= 10**MAX_DECIMAL_EXPONENT:",
+           _LIMITS + ("tests/test_cost_core.py", "tests/test_cli.py"),
+           "an annual_rate or capex grid value with exactly the bound's decimal places is read"),
+    Mutant(_CLI, "sum(map(str.isdecimal, text)) <= limit", "sum(map(str.isdecimal, text)) < limit",
+           ("tests/test_cli.py",) + _LIMITS,
+           "a malformed volume with exactly the limit's digits keeps int()'s words"),
     Mutant(_SENS, "if search_max <= 0:", "if search_max < 0:",
            _LIMITS + ("tests/test_sensitivity.py",), "a search bound of 0 is refused"),
     Mutant(_SENS, "if search_max > MAX_SEARCH_MAX:", "if search_max >= MAX_SEARCH_MAX:",
@@ -129,6 +133,9 @@ MUTANTS = (
            ("tests/test_cli.py",), "any JSON whitespace may stand between the comma and the bracket"),
     Mutant(_ERRORS, "comma = pos\n", "comma = pos + 1\n", ("tests/test_cli.py",),
            "Python 3.13 places its trailing-comma error at the comma"),
+    # the package surface
+    Mutant(_INIT, " and not isinstance(value, _ModuleType))", ")", ("tests/test_surface.py",),
+           "the submodules are no part of __all__"),
     # the one integer rule
     Mutant(_CORE, "isinstance(value, int) and not isinstance(value, bool)",
            "isinstance(value, int)", ("tests/test_money.py", "tests/test_cost_core.py"),
