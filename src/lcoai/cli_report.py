@@ -16,13 +16,15 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cache
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cost_core import (
     HORIZON_LIFE,
     NO_DISCOUNT,
     CapexItem,
+    CompiledScenario,
     CostScenario,
     DiscountPolicy,
     Horizon,
@@ -56,14 +58,18 @@ from .sensitivity import (
     SWEEP_PARAMETERS,
     SweepResult,
     SweepSpec,
+    _raw_points,
+    _series,
     break_even,
-    sweep,
 )
 
 SCHEMA_VERSION = 1
 
 # largest grid a sweep command will build
 MAX_SWEEP_POINTS = 1_000_000
+
+# lines a sweep command renders and writes at a time
+SWEEP_CHUNK_ROWS = 4_096
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,28 +180,43 @@ def build_comparison_table(scenarios: Iterable[CostScenario],
 
 def sweep_series_csv(result: SweepResult) -> str:
     """Two-column RFC 4180 CSV of a sweep series, ready for external plotting."""
-    point_cell = _point_formatter(result.parameter, [point for point, _ in result.series])
-    return _render_csv(
-        (result.parameter, "lcoai_per_1000_usd"),
-        ((point_cell(point), "NA" if cost is None else _fixed_point(_round_div(cost.amount, 10**4), 2))
-         for point, cost in result.series))
+    points, q = _raw_points(result.parameter, tuple(point for point, _ in result.series))
+    costs = (None if cost is None else cost.amount for _, cost in result.series)
+    return "".join(_series_lines(result.parameter, _point_cells(result.parameter, points, q),
+                                 costs))
 
 
-def _point_formatter(parameter: str, points: Sequence) -> Callable:
-    """The point-cell formatter of one series: volumes as integers, OPEX
-    rates in USD to 4 decimals, multipliers as shortest exact decimals."""
+def _series_lines(parameter: str, cells: Iterable[str], costs: Iterable) -> Iterator[str]:
+    """The CSV lines of a sweep series: the header, then each point cell with
+    its cost per 1,000 (micro-dollars) in USD to the cent, or NA where it is
+    undefined. No cell needs quoting, so every line is written directly."""
+    yield f"{parameter},lcoai_per_1000_usd\r\n"
+    for cell, cost in zip(cells, costs):
+        if cost is None:
+            yield f"{cell},NA\r\n"
+        else:
+            yield f"{cell},{_fixed_point(_round_div(cost, 10**4), 2)}\r\n"
+
+
+def _point_cells(parameter: str, points: Iterable[int], q: int) -> Iterator[str]:
+    """The point cells of one series, from the integers
+    :func:`~lcoai.sensitivity._series` reads: volumes as integers, OPEX rates
+    in USD to 4 decimals, multipliers (numerators over ``q``) as shortest
+    exact decimals, or as fractions when the series has no exact decimal
+    form."""
     if parameter == "volume":
-        return str
+        return map(str, points)
     if parameter == "opex_rate":
-        return lambda point: _fixed_point(_round_div(point.rate, 100), 4)
-    places = decimal_places(math.lcm(*(point.denominator for point in points)))
-    if not places:  # all integers, or a point such as 1/3 with no exact decimal form
-        return _multiplier_cell
-    unit = 10**places
+        return (_fixed_point(_round_div(point, 100), 4) for point in points)
+    places = decimal_places(q)
+    if places is None:  # a point such as 1/3 has no exact decimal form
+        return (_multiplier_cell(Fraction(point, q)) for point in points)
+    if not places:
+        return map(str, points)
+    unit = 10**places // q
     # exact at the places of the series; dropping trailing zeros leaves each
     # point's shortest text, as decimal_text writes it
-    return lambda point: _fixed_point(point.numerator * (unit // point.denominator),
-                                      places).rstrip("0").rstrip(".")
+    return (_fixed_point(point * unit, places).rstrip("0").rstrip(".") for point in points)
 
 
 def _multiplier_cell(point: Fraction) -> str:
@@ -491,7 +512,11 @@ def _grid_int(text: str) -> int:
                      "for integer string conversion")
 
 
-def _sweep_points(parameter: str, start: str, stop: str, step: str) -> list:
+def _sweep_grid(parameter: str, start: str, stop: str, step: str) -> tuple:
+    """``(points, q)``: the grid start, start + step, ... up to stop as a
+    range of the integers :func:`~lcoai.sensitivity._series` reads (volumes,
+    micro-dollar rates, or multiplier numerators over ``q``). Every check
+    runs before any point is built."""
     if parameter == "volume":
         first, last, delta = map(_grid_int, (start, stop, step))
     elif parameter == "opex_rate":
@@ -505,21 +530,29 @@ def _sweep_points(parameter: str, start: str, stop: str, step: str) -> list:
     count = (last - first) // delta + 1
     if count > MAX_SWEEP_POINTS:
         raise ValueError(f"the grid has {count:,} points; the limit is {MAX_SWEEP_POINTS:,}")
-    if parameter == "volume":
-        return list(range(first, first + count * delta, delta))
-    if parameter == "opex_rate":
-        return [PerInferenceRate(p) for p in range(first, first + count * delta, delta)]
-    # numerators over one common denominator q: start + k * step = (n0 + k * dn) / q
-    q = math.lcm(first.denominator, delta.denominator)
-    n0, dn = first.numerator * (q // first.denominator), delta.numerator * (q // delta.denominator)
-    return [Fraction(n, q) for n in range(n0, n0 + count * dn, dn)]
+    # the library's own rules check the first point; the others only grow
+    SweepSpec(parameter, (PerInferenceRate(first) if parameter == "opex_rate" else first,))
+    q = 1
+    if parameter == "capex_multiplier":
+        # numerators over one common denominator q: start + k * step = (n0 + k * dn) / q
+        q = math.lcm(first.denominator, delta.denominator)
+        first, delta = (first.numerator * (q // first.denominator),
+                        delta.numerator * (q // delta.denominator))
+    return range(first, first + count * delta, delta), q
 
 
 def _cmd_sweep(args) -> int:
     scenario = _pick(load_scenarios(args.scenario_file), args.name)
-    points = _sweep_points(args.parameter, args.start, args.stop, args.step)
-    result = sweep(scenario, SweepSpec(args.parameter, tuple(points)))
-    print(sweep_series_csv(result), end="")
+    parameter = args.parameter
+    points, q = _sweep_grid(parameter, args.start, args.stop, args.step)
+    costs = _series(CompiledScenario(scenario), parameter, points, q)
+    lines = _series_lines(parameter, _point_cells(parameter, points, q),
+                          (None if cost is None else cost * 1000 for cost in costs))
+    # written a chunk at a time, so memory stays flat in the point count
+    write = sys.stdout.write
+    write(next(lines))  # the header
+    for _ in range(0, len(points), SWEEP_CHUNK_ROWS):
+        write("".join(islice(lines, SWEEP_CHUNK_ROWS)))
     return EXIT_OK
 
 
@@ -591,8 +624,15 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call in a process uses: built once, as
+    ``parse_args`` reads it without changing it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

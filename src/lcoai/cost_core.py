@@ -451,6 +451,25 @@ def amortize_capex(items: Iterable[CapexItem], horizon: Horizon) -> list:
     return [Money(c) for c in charges]
 
 
+def _rescaled(per_period: tuple, total: int) -> tuple:
+    """Per-period counts of the same shape summing to ``total`` exactly:
+    proportional, with cumulative rounding down. A projection that totals
+    zero is spread uniformly."""
+    if len(per_period) == 1:
+        return (total,)
+    old_total = sum(per_period)
+    weights = per_period if old_total else (1,) * len(per_period)
+    weight_sum = old_total or len(per_period)
+    rescaled = []
+    prev = cum = 0
+    for w in weights:
+        cum += w
+        target = (total * cum) // weight_sum
+        rescaled.append(target - prev)
+        prev = target
+    return tuple(rescaled)
+
+
 # _root_power scales the power by 10^_ROOT_SCALE, so that its floor keeps at
 # least ten digits past the 50 it rounds to (the power is at least 1)
 _ROOT_SCALE = _POWER_DIGITS + 10
@@ -546,12 +565,13 @@ class CompiledScenario:
     same. Evaluation is split in two: :meth:`volume_terms` reduces a volume
     vector to ``(sum(w_t * v_t), D)`` in O(periods), and :meth:`combine`
     finishes a point from those terms, o and C in O(1), so a series that
-    keeps its volumes computes the terms once. Instances are never mutated
-    after construction.
+    keeps its volumes computes the terms once. :meth:`terms_at` gives the
+    terms of the projection rescaled to a new total, in O(1) when every
+    weight is equal. Instances are never mutated after construction.
     """
 
     __slots__ = ("scenario", "volumes", "rate", "capex", "fixed", "scale", "weights",
-                 "weight_sum", "discounts_denominator")
+                 "weight_sum", "equal_weights", "discounts_denominator")
 
     def __init__(self, scenario: CostScenario):
         horizon, policy = scenario.horizon, scenario.discount
@@ -568,13 +588,13 @@ class CompiledScenario:
         else:
             self.scale, self.weights = 1, (1,) * horizon.periods
         self.weight_sum = sum(self.weights)
+        self.equal_weights = self.weights.count(self.weights[0]) == len(self.weights)
         self.discounts_denominator = policy.is_discounting and policy.discount_denominator
 
-    def capex_scaled(self, k: Rational) -> int:
-        """Charged CAPEX with every item amount scaled by ``k > 0`` and rounded
-        per item, as :meth:`Money.scaled` rounds; ``k = 1`` gives the total
-        of the :func:`amortize_capex` stream."""
-        p, q = k.numerator, k.denominator
+    def capex_scaled(self, p: int, q: int = 1) -> int:
+        """Charged CAPEX with every item amount scaled by ``p / q > 0`` and
+        rounded per item, as :meth:`Money.scaled` rounds; ``p = q`` gives the
+        total of the :func:`amortize_capex` stream."""
         half, months = 2 * q, self.scenario.horizon.months
         total = 0
         for item in self.scenario.capex:
@@ -587,8 +607,20 @@ class CompiledScenario:
         """``(sum(w_t * v_t), D)`` for per-period volumes: the weighted volume
         and the denominator of the exact cost per inference. Raises
         :class:`~lcoai.errors.UndefinedMetricError` at zero volume."""
-        weighted = sum(map(mul, self.weights, volumes))
-        denominator = weighted if self.discounts_denominator else self.scale * sum(volumes)
+        return self._terms(sum(map(mul, self.weights, volumes)), sum(volumes))
+
+    def terms_at(self, total: int) -> tuple:
+        """:meth:`volume_terms` of the projection rescaled to ``total``
+        inferences (:func:`_rescaled`). When every weight is equal (no
+        discounting, or one period) the weighted volume is that weight times
+        ``total``, since the rescaled volumes sum to ``total`` exactly, so a
+        point costs O(1) whatever the period count."""
+        if self.equal_weights:
+            return self._terms(self.weights[0] * total, total)
+        return self.volume_terms(_rescaled(self.volumes, total))
+
+    def _terms(self, weighted: int, volume: int) -> tuple:
+        denominator = weighted if self.discounts_denominator else self.scale * volume
         if not denominator:
             raise UndefinedMetricError(
                 f"scenario {self.scenario.name!r} projects zero valid inferences")

@@ -4,10 +4,12 @@ Each analysis compiles its scenarios once into a
 :class:`~lcoai.cost_core.CompiledScenario` and evaluates every point on that
 compiled form: a point is the base scenario's per-period volumes, OPEX rate
 and charged CAPEX with one of them replaced, so no scenario is derived and
-nothing is re-amortized or re-validated per point. Sweeps and tornado map
-a parameter and its points to costs through one series function; a series
-that keeps the base volumes (``opex_rate``, ``capex_multiplier``) reduces
-them to their volume terms once and finishes each point in O(1). The
+nothing is re-amortized or re-validated per point. Sweeps, tornado and the
+``sweep`` command map a parameter and its points, as raw integers, to costs
+through one series generator; a series that keeps the base volumes
+(``opex_rate``, ``capex_multiplier``) reduces them to their volume terms
+once and finishes each point in O(1), and a volume point is O(1) when the
+kernel's weights are equal. The
 ``with_*`` functions derive whole scenarios for callers that want one; a
 point's value always equals :func:`~lcoai.cost_core.compute_lcoai` of the
 derived scenario. The base is never mutated, and points are independent.
@@ -15,10 +17,11 @@ derived scenario. The base is never mutated, and points are independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import lt, mul
-from typing import Literal, Optional
+from typing import Iterable, Iterator, Literal, Optional
 
 from .cost_core import (
     CompiledScenario,
@@ -28,6 +31,7 @@ from .cost_core import (
     PerInferenceRate,
     VolumeProjection,
     _is_int,
+    _rescaled,
     compute_lcoai,
     exact_ratio,
     round_half_away,
@@ -152,24 +156,6 @@ def with_total_volume(scenario: CostScenario, total: int) -> CostScenario:
     return replace(scenario, volume=VolumeProjection(_rescaled(scenario.volume.per_period, total)))
 
 
-def _rescaled(per_period: tuple, total: int) -> tuple:
-    """Per-period counts of the same shape summing to ``total`` (see
-    :func:`with_total_volume`)."""
-    if len(per_period) == 1:
-        return (total,)
-    old_total = sum(per_period)
-    weights = per_period if old_total else (1,) * len(per_period)
-    weight_sum = old_total or len(per_period)
-    rescaled = []
-    prev = cum = 0
-    for w in weights:
-        cum += w
-        target = (total * cum) // weight_sum
-        rescaled.append(target - prev)
-        prev = target
-    return tuple(rescaled)
-
-
 def with_opex_rate(scenario: CostScenario, rate: PerInferenceRate) -> CostScenario:
     """A copy with the per-inference OPEX rate replaced (fixed charge kept)."""
     return replace(scenario, opex=replace(scenario.opex, per_inference=rate))
@@ -185,35 +171,58 @@ def with_capex_scaled(scenario: CostScenario, k: Exact) -> CostScenario:
     return replace(scenario, capex=items)
 
 
-def _series(kernel: CompiledScenario, parameter: str, points) -> list:
+def _series(kernel: CompiledScenario, parameter: str, points: Iterable[int],
+            q: int = 1) -> Iterator[Optional[int]]:
     """Rounded cost per inference (micro-dollars) at each of one parameter's
-    points, ``None`` where the volume is zero. ``opex_rate`` and
-    ``capex_multiplier`` points keep the base volumes and reduce them once."""
+    points, ``None`` where the volume is zero. Points are raw integers:
+    volumes, OPEX rates in micro-dollars, or CAPEX multipliers as numerators
+    over the common denominator ``q``. A volume point costs O(1) when the
+    kernel's weights are equal (:meth:`~CompiledScenario.terms_at`);
+    ``opex_rate`` and ``capex_multiplier`` points keep the base volumes and
+    reduce them once."""
     combine, rate, capex = kernel.combine, kernel.rate, kernel.capex
     if parameter == "volume":
-        volumes, volume_terms = kernel.volumes, kernel.volume_terms
-        costs = []
+        terms_at = kernel.terms_at
         for point in points:
             try:
-                terms = volume_terms(_rescaled(volumes, point))
+                terms = terms_at(point)
             except UndefinedMetricError:  # zero volume
-                costs.append(None)
+                yield None
             else:
-                costs.append(combine(terms, rate, capex)[3])
-        return costs
+                yield combine(terms, rate, capex)[3]
+        return
     try:
         terms = kernel.volume_terms(kernel.volumes)
     except UndefinedMetricError:  # zero volume
-        return [None] * len(points)
+        for _ in points:
+            yield None
+        return
     if parameter == "opex_rate":
-        return [combine(terms, point.rate, capex)[3] for point in points]
-    return [combine(terms, rate, kernel.capex_scaled(point))[3] for point in points]
+        for point in points:
+            yield combine(terms, point, capex)[3]
+    else:
+        capex_scaled = kernel.capex_scaled
+        for point in points:
+            yield combine(terms, rate, capex_scaled(point, q))[3]
+
+
+def _raw_points(parameter: str, points: tuple) -> tuple:
+    """``(integers, q)``: a sweep's points in the form :func:`_series` reads,
+    volumes as they are, OPEX rates as micro-dollars and multipliers as
+    numerators over ``q``, the least common denominator of the points."""
+    if parameter == "volume":
+        return points, 1
+    if parameter == "opex_rate":
+        return tuple(point.rate for point in points), 1
+    q = math.lcm(*(point.denominator for point in points))
+    return tuple(point.numerator * (q // point.denominator) for point in points), q
 
 
 def sweep(scenario: CostScenario, spec: SweepSpec) -> SweepResult:
     """Evaluate the levelized cost across the grid of a sweep spec (``None``
     at each point where the volume is zero)."""
-    costs = _series(CompiledScenario(scenario), spec.parameter, spec.points)
+    costs = _series(CompiledScenario(scenario), spec.parameter,
+                    *_raw_points(spec.parameter, spec.points))
     series = tuple((point, None if cost is None else Money(cost * 1000))
                    for point, cost in zip(spec.points, costs))
     return SweepResult(scenario.name, spec.parameter, series)
@@ -254,8 +263,7 @@ def break_even(a: CostScenario, b: CostScenario,
 
     def exact(kernel: CompiledScenario, volume: int) -> tuple:
         # (numerator, denominator) of the exact cost per inference at a volume
-        terms = kernel.volume_terms(_rescaled(kernel.volumes, volume))
-        return kernel.combine(terms, kernel.rate, kernel.capex)[:2]
+        return kernel.combine(kernel.terms_at(volume), kernel.rate, kernel.capex)[:2]
 
     def diff(x: CompiledScenario, y: CompiledScenario, volume: int) -> int:
         # has the sign of x's cost minus y's: both denominators are positive
@@ -332,9 +340,10 @@ def tornado(scenario: CostScenario, swing: Exact) -> list:
         raise ValueError("swing must be strictly between 0 and 1")
     kernel = CompiledScenario(scenario)
     ks = (1 - swing, 1 + swing)
-    total, rate = scenario.volume.total, scenario.opex.per_inference
-    points = {"capex": ("capex_multiplier", ks),
-              "opex_rate": ("opex_rate", [rate.scaled(k) for k in ks]),
+    total, rate = scenario.volume.total, kernel.rate
+    # 1 - n/d and 1 + n/d stay in lowest terms over d
+    points = {"capex": ("capex_multiplier", [k.numerator for k in ks], swing.denominator),
+              "opex_rate": ("opex_rate", [round_half_away(rate * k) for k in ks]),
               "volume": ("volume", [round_half_away(total * k) for k in ks])}
     entries = []
     for parameter in TORNADO_PARAMETERS:

@@ -25,7 +25,8 @@ from lcoai import (
     scenarios_to_dict,
     sweep_series_csv,
 )
-from lcoai.cli_report import MAX_SWEEP_POINTS, _sweep_points, main
+from lcoai import cli_report
+from lcoai.cli_report import MAX_SWEEP_POINTS, _sweep_grid, main
 from lcoai.cost_core import MAX_DECIMAL_EXPONENT, MAX_DISCOUNTED_MONTHS, decimal_text, exact_ratio
 from lcoai.errors import decode_error_message
 from lcoai.sensitivity import MAX_SEARCH_MAX, SweepSpec, sweep
@@ -369,6 +370,12 @@ class TestReportTable:
         assert a == b
 
 
+def _grid_values(parameter, start, stop, step) -> list:
+    """The grid of a sweep command as values: multipliers as Fractions."""
+    points, q = _sweep_grid(parameter, start, stop, step)
+    return [Fraction(point, q) for point in points]
+
+
 class TestSweepCsv:
     def test_volume_sweep_golden(self):
         scenarios = load_scenarios(FIXTURES / "table1.json")
@@ -551,11 +558,36 @@ class TestCliCommands:
     def test_sweep_grid_over_the_point_cap_is_refused_before_building(
             self, parameter, start, stop, step):
         with pytest.raises(ValueError, match="limit"):
-            _sweep_points(parameter, start, stop, step)
+            _sweep_grid(parameter, start, stop, step)
+
+    @pytest.mark.parametrize("parameter, start, stop, step, words", [
+        ("volume", "-1", "5", "1", "volume points must be non-negative integers"),
+        ("opex_rate", "-0.001", "0.002", "0.001", "per-inference rate must be non-negative"),
+        ("capex_multiplier", "0", "1", "0.5", "capex multipliers must be positive"),
+        ("capex_multiplier", "-0.5", "1", "0.5", "capex multipliers must be positive"),
+        ("volume", "1", "5", "0", "step must be positive"),
+        ("opex_rate", "0.001", "0.002", "-0.001", "step must be positive"),
+        ("capex_multiplier", "2", "1", "0.5", "stop must be at least start"),
+        ("volume", "0", str(MAX_SWEEP_POINTS), "1",
+         f"the grid has {MAX_SWEEP_POINTS + 1:,} points; the limit is {MAX_SWEEP_POINTS:,}"),
+        # the cap is checked before the sign of the first point
+        ("volume", "-1", str(MAX_SWEEP_POINTS - 1), "1",
+         f"the grid has {MAX_SWEEP_POINTS + 1:,} points; the limit is {MAX_SWEEP_POINTS:,}"),
+    ])
+    def test_sweep_grid_errors_print_nothing_to_stdout(self, parameter, start, stop, step,
+                                                       words, capsys):
+        argv = ["sweep", str(FIXTURES / "table1.json"), "GPT-4.1 API", parameter,
+                "--start", start, "--stop", stop, "--step", step]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {words}\n")
+        # an unknown scenario is reported first
+        argv[2] = "Nonexistent"
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: scenario 'Nonexistent' not found\n")
 
     def test_sweep_grid_at_the_point_cap_is_built(self):
-        points = _sweep_points("volume", "1", str(MAX_SWEEP_POINTS), "1")
-        assert len(points) == MAX_SWEEP_POINTS and points[-1] == MAX_SWEEP_POINTS
+        points, q = _sweep_grid("volume", "1", str(MAX_SWEEP_POINTS), "1")
+        assert len(points) == MAX_SWEEP_POINTS and points[-1] == MAX_SWEEP_POINTS and q == 1
 
     def test_sweep_over_the_point_cap_exits_1(self, capsys):
         code = main([
@@ -581,13 +613,13 @@ class TestCliCommands:
                 exact_ratio(text)
 
     def test_sweep_grid_is_start_plus_multiples_of_step(self):
-        assert _sweep_points("capex_multiplier", "0.5", "1.2", "0.25") == [
+        assert _grid_values("capex_multiplier", "0.5", "1.2", "0.25") == [
             Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-        assert _sweep_points("volume", "0", "10", "5") == [0, 5, 10]
+        assert _grid_values("volume", "0", "10", "5") == [0, 5, 10]
 
     def test_sweep_capex_grid_values_have_at_most_100_places(self, capsys):
         places = "0." + "0" * (MAX_DECIMAL_EXPONENT - 1) + "1"
-        assert _sweep_points("capex_multiplier", "1", "1", places) == [Fraction(1)]
+        assert _grid_values("capex_multiplier", "1", "1", places) == [Fraction(1)]
         # 20,000 places: refused before the grid is built, not after minutes
         step = "0.000999" + "9" * 19_994
         began = time.perf_counter()
@@ -611,20 +643,39 @@ class TestCliCommands:
             f"exceeds the limit ({limit} digits) for integer string conversion\n")
 
     def test_sweep_volume_keeps_the_int_grammar(self):
-        assert _sweep_points("volume", " 1_000 ", "+2000", "\u0661\u0660\u0660\u0660") == [
+        assert _grid_values("volume", " 1_000 ", "+2000", "\u0661\u0660\u0660\u0660") == [
             1000, 2000]
         # a malformed value with no more digits than the limit keeps int()'s words
         for start in ("abc", "9" * 4_300 + "x"):
             with pytest.raises(ValueError, match="invalid literal for int"):
-                _sweep_points("volume", start, "1", "1")
+                _sweep_grid("volume", start, "1", "1")
         # with the limit off (0), int() refuses only malformed text
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
             with pytest.raises(ValueError, match="invalid literal for int"):
-                _sweep_points("volume", "9" * 5_000 + "x", "1", "1")
+                _sweep_grid("volume", "9" * 5_000 + "x", "1", "1")
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, monkeypatch, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text((FIXTURES / "telemetry_sample.jsonl").read_text() + "not json\n")
+        table = str(FIXTURES / "table1.json")
+        runs = (["--format", "csv", "table", table], ["table", table], ["table"],
+                ["--strict", "ingest", str(log)], ["ingest", str(log)])
+        fresh = []
+        for argv in runs:
+            cli_report._shared_parser.cache_clear()
+            fresh.append((main(argv), *capsys.readouterr()))
+        built = []
+        build_parser = cli_report.build_parser
+        monkeypatch.setattr(cli_report, "build_parser",
+                            lambda: built.append(1) or build_parser())
+        cli_report._shared_parser.cache_clear()
+        assert [(main(argv), *capsys.readouterr()) for argv in runs] == fresh
+        assert len(built) == 1
+        assert [code for code, _, _ in fresh] == [0, 0, 1, 4, 0]
 
     def test_breakeven_prints_crossover(self, capsys):
         code = main(["breakeven", str(FIXTURES / "table1.json"),

@@ -85,6 +85,9 @@ def corpus(tmp: Path) -> list:
         ("readme ingest", cli + ["ingest", "fixtures/telemetry_sample.jsonl"]),
         ("readme capex sweep", cli + ["sweep", TABLE1, LLAMA, "capex_multiplier",
                                       "--start", "0.5", "--stop", "1.5", "--step", "0.1"]),
+        ("capex sweep over three chunks", cli + ["sweep", TABLE1, LLAMA, "capex_multiplier",
+                                                 "--start", "0.5", "--stop", "1.4999",
+                                                 "--step", "0.0001"]),
         ("help", cli + ["--help"]),
     ]
     cases += [(f"demo {demo.stem}", [str(demo.relative_to(ROOT))])

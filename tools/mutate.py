@@ -73,6 +73,14 @@ MUTANTS = (
            "a projection with some zero periods keeps its shape in the limit"),
     Mutant(_SENS, "ks = (1 - swing, 1 + swing)", "ks = (1 + swing, 1 - swing)",
            ("tests/test_sensitivity.py",), "tornado's low end is the (1 - swing) point"),
+    # the O(1) volume point and the streamed sweep command
+    Mutant(_CORE, "self.equal_weights = self.weights.count(self.weights[0]) == len(self.weights)",
+           "self.equal_weights = True", ("tests/test_sweep_stream.py", "tests/test_kernel.py"),
+           "only equal weights let a volume point skip the rescaled projection"),
+    Mutant(_CLI, "for _ in range(0, len(points), SWEEP_CHUNK_ROWS):",
+           "for _ in range(0, len(points) - SWEEP_CHUNK_ROWS + 1, SWEEP_CHUNK_ROWS):",
+           ("tests/test_cli.py", "tests/test_sweep_stream.py"),
+           "a sweep writes its final partial chunk"),
     # rounding
     Mutant(_CORE, "    if 2 * r >= d:", "    if 2 * r > d:", _ROUNDING,
            "micro-dollar ties round away from zero"),
