@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,6 +77,8 @@ EXIT_USAGE = 1
 EXIT_NOT_FOUND = 2
 EXIT_UNDEFINED = 3
 EXIT_PARSE = 4
+# what a shell reports for a writer killed by SIGPIPE (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 TABLE_COLUMNS = (
     "Scenario",
@@ -624,6 +627,19 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at :data:`os.devnull`, so that the
+    interpreter's final flush of what is still buffered writes nowhere
+    instead of failing again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor behind it
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 @cache
 def _shared_parser() -> argparse.ArgumentParser:
     """The parser every :func:`main` call in a process uses: built once, as
@@ -638,7 +654,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a failed write shows here, not at interpreter exit
+        return status
     except (ScenarioFileError, LogParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -648,9 +666,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LookupError as err:
         print(f"error: scenario {err.args[0]!r} not found", file=sys.stderr)
         return EXIT_NOT_FOUND
+    except BrokenPipeError:  # the reader closed the pipe: end quietly
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_NOT_FOUND
+        if err.filename is not None:  # open() names the file it could not read
+            return EXIT_NOT_FOUND
+        _discard_stdout()  # a failed write: what is still buffered would fail again
+        return EXIT_USAGE
     except (IncompatibleScenariosError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

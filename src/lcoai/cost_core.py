@@ -215,10 +215,6 @@ class PerInferenceRate:
     def from_usd(cls, usd: Exact) -> "PerInferenceRate":
         return cls(usd_to_micro(usd))
 
-    def scaled(self, k: Exact) -> "PerInferenceRate":
-        p, q = exact_ratio(k)
-        return PerInferenceRate(_round_div(self.rate * p, q))
-
     def usd_string(self) -> str:
         return decimal_text(Fraction(self.rate, MICRO_PER_USD))
 
@@ -455,8 +451,6 @@ def _rescaled(per_period: tuple, total: int) -> tuple:
     """Per-period counts of the same shape summing to ``total`` exactly:
     proportional, with cumulative rounding down. A projection that totals
     zero is spread uniformly."""
-    if len(per_period) == 1:
-        return (total,)
     old_total = sum(per_period)
     weights = per_period if old_total else (1,) * len(per_period)
     weight_sum = old_total or len(per_period)

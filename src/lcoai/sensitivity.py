@@ -36,7 +36,6 @@ from .cost_core import (
     exact_ratio,
     round_half_away,
 )
-from .decision import fine_tune_threshold
 from .errors import IncompatibleScenariosError, UndefinedMetricError
 
 SweepParameter = Literal["volume", "opex_rate", "capex_multiplier"]
@@ -241,15 +240,14 @@ def break_even(a: CostScenario, b: CostScenario,
     ``search_exhausted`` is set only when the dominated scenario's cost per
     inference tends, as volume grows, to strictly less than the dominator's,
     so the curves cross beyond the bound. Only the crossover between the
-    bounds is found two ways, chosen from the two scenarios alone: pairs in
-    the analytic regime (single period, no discounting, purely per-inference
-    OPEX) solve
-    ``C_hi + o_hi * V < C_lo + o_lo * V`` with
-    :func:`~lcoai.decision.fine_tune_threshold`'s formula; other pairs
-    bisect monotonically over [1, search_max], and confirm the crossover
-    with :func:`compute_lcoai` at V-1 and V. ``search_max`` must lie in
-    [1, :data:`MAX_SEARCH_MAX`]. Scenarios with differing horizons are not
-    comparable.
+    bounds is found two ways, chosen on the compiled forms alone. When both
+    kernels' weights are equal (no discounting, or one period), each cost
+    is ``(A + B*V) / (m*V)``, so ``diff(V) / V`` is affine in V: two probes
+    give it, and the crossover is the first integer past its root. Other
+    pairs bisect monotonically over [1, search_max], and confirm the
+    crossover with :func:`compute_lcoai` at V-1 and V. ``search_max`` must
+    lie in [1, :data:`MAX_SEARCH_MAX`]. Scenarios with differing horizons
+    are not comparable.
     """
     if not _is_int(search_max):
         raise TypeError("search_max must be an int")
@@ -270,8 +268,6 @@ def break_even(a: CostScenario, b: CostScenario,
         (nx, dx), (ny, dy) = exact(x, volume), exact(y, volume)
         return nx * dy - ny * dx
 
-    analytic = all(s.horizon.periods == 1 and not s.discount.is_discounting
-                   and s.opex.fixed_per_period.amount == 0 for s in (a, b))
     ka, kb = CompiledScenario(a), CompiledScenario(b)
     if ka.capex != kb.capex:
         a_is_hi = ka.capex > kb.capex
@@ -285,10 +281,11 @@ def break_even(a: CostScenario, b: CostScenario,
         # hi can still cross beyond the bound only if it tends lower
         return BreakEvenResult(a.name, b.name, None, lo.scenario.name, lo.scenario.name,
                                search_exhausted=_limit(hi) < _limit(lo))
-    elif analytic:  # paying the capital gap for hi's rate is fine-tuning lo
-        volume = fine_tune_threshold(lo.scenario.opex.per_inference,
-                                     hi.scenario.opex.per_inference,
-                                     Money(hi.capex - lo.capex)).threshold_volume
+    elif hi.equal_weights and lo.equal_weights:
+        # diff(V) / V = g - s*V with s > 0, read at V = 1 and 2 (search_max >= 2
+        # here); the first V past g / s is strictly cheaper
+        d1, d2 = diff(hi, lo, 1), diff(hi, lo, 2) // 2
+        volume = (2 * d1 - d2) // (d1 - d2) + 1
     else:
         low, volume = 1, search_max  # hi is not cheaper at low, strictly cheaper at volume
         while volume - low > 1:
@@ -297,17 +294,18 @@ def break_even(a: CostScenario, b: CostScenario,
                 volume = mid
             else:
                 low = mid
-    result = BreakEvenResult(a.name, b.name, volume, lo.scenario.name, hi.scenario.name)
-    return result if analytic else _confirmed(result, hi.scenario, lo.scenario)
+        return _confirmed(BreakEvenResult(a.name, b.name, volume, lo.scenario.name,
+                                          hi.scenario.name), hi.scenario, lo.scenario)
+    return BreakEvenResult(a.name, b.name, volume, lo.scenario.name, hi.scenario.name)
 
 
 def _limit(kernel: CompiledScenario) -> Fraction:
     """The exact cost per inference the kernel's scenario tends to as its
     total volume grows: the rate times the weighted volume over D, both from
-    :meth:`~lcoai.cost_core.CompiledScenario.volume_terms` of the projection
-    shape (uniform when it is all zero), as :func:`_rescaled` keeps it."""
-    shape = kernel.volumes if any(kernel.volumes) else (1,) * len(kernel.volumes)
-    weighted, denominator = kernel.volume_terms(shape)
+    :meth:`~lcoai.cost_core.CompiledScenario.terms_at` the projection's own
+    total (one per period when it is all zero, which :func:`_rescaled` spreads
+    uniformly)."""
+    weighted, denominator = kernel.terms_at(sum(kernel.volumes) or len(kernel.volumes))
     return Fraction(kernel.rate * weighted, denominator)
 
 

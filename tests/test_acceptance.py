@@ -187,7 +187,7 @@ def test_criterion_6_property_suite():
             VolumeProjection((volume,)), Horizon(1, 12))
         scaled = CostScenario(
             "prop", (CapexItem("c", Money(capex).scaled(k)),),
-            OpexModel(PerInferenceRate(rate).scaled(k)),
+            OpexModel(PerInferenceRate(Money(rate).scaled(k).amount)),
             VolumeProjection((volume,)), Horizon(1, 12))
         r_base, r_scaled = compute_lcoai(base), compute_lcoai(scaled)
         assert r_scaled.exact_per_inference == k * r_base.exact_per_inference

@@ -1,7 +1,10 @@
 """Scenario files, table rendering, and the command-line surface."""
 
+import errno
+import io
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -490,6 +493,27 @@ class TestCliCommands:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["compute", "no-such-file.json", "x"]) == 2
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'no-such-file.json'\n")
+
+    def test_a_directory_for_a_scenario_file_exits_2(self, tmp_path, capsys):
+        assert main(["table", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    @pytest.mark.parametrize("error, code, message", [
+        (OSError(errno.ENOSPC, "No space left on device"), 1,
+         "error: [Errno 28] No space left on device\n"),
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), 141, ""),
+    ], ids=["disk-full", "broken-pipe"])
+    def test_a_failed_write_to_stdout_is_not_a_missing_file(self, monkeypatch, capsys,
+                                                            error, code, message):
+        class Failing(io.StringIO):  # and has no file descriptor
+            def write(self, text):
+                raise error
+
+        monkeypatch.setattr(sys, "stdout", Failing())
+        assert main(["table", str(FIXTURES / "table1.json")]) == code
+        assert capsys.readouterr().err == message
 
     def test_malformed_file_exits_4(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -886,6 +910,14 @@ class TestCliCommands:
         assert main(["--help"]) == 0
 
 
+def _env(unbuffered: bool) -> dict:
+    """This process's environment, with stdout unbuffered or block-buffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 class TestCliSubprocess:
     def test_module_invocation_round_trip(self):
         result = subprocess.run(
@@ -909,6 +941,40 @@ class TestCliSubprocess:
                                     capture_output=True, text=True, check=True)
         assert "skipped_malformed=1" in from_path.stdout
         assert from_stdin.stdout == from_path.stdout
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_reader_that_closes_the_pipe_ends_the_sweep_quietly(self, unbuffered):
+        sweep = subprocess.Popen(
+            [sys.executable, "-m", "lcoai", "sweep", str(FIXTURES / "table1.json"),
+             "GPT-4.1 API", "volume", "--start", "1", "--stop", "1000000", "--step", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(unbuffered))
+        assert sweep.stdout.readline() == b"volume,lcoai_per_1000_usd\r\n"
+        sweep.stdout.close()
+        assert sweep.wait(timeout=120) == 141  # 128 + SIGPIPE, as a shell reports it
+        assert sweep.stderr.read() == b""
+        sweep.stderr.close()
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_closed_pipe_ends_compute_quietly(self, unbuffered):
+        # buffered, the lines fail only at the flush before main returns
+        compute = subprocess.Popen(
+            [sys.executable, "-m", "lcoai", "compute", str(FIXTURES / "table1.json"),
+             "GPT-4.1 API"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(unbuffered))
+        compute.stdout.close()
+        assert compute.wait(timeout=120) == 141
+        assert compute.stderr.read() == b""
+        compute.stderr.close()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_full_disk_prints_one_error_and_exits_1(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "lcoai", "table", str(FIXTURES / "table1.json")],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=_env(unbuffered))
+        assert result.returncode == 1
+        assert result.stderr == "error: [Errno 28] No space left on device\n"
 
     def test_exit_code_surfaces_through_interpreter(self):
         result = subprocess.run(

@@ -569,7 +569,7 @@ class TestComputeProperties:
         scaled = CostScenario(
             name="scaled",
             capex=(CapexItem("c", base.capex[0].amount.scaled(k)),),
-            opex=OpexModel(base.opex.per_inference.scaled(k),
+            opex=OpexModel(PerInferenceRate(Money(base.opex.per_inference.rate).scaled(k).amount),
                            base.opex.fixed_per_period.scaled(k)),
             volume=base.volume,
             horizon=base.horizon,

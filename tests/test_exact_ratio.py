@@ -30,7 +30,6 @@ _SITES = {
     "Money.from_usd": Money.from_usd,
     "PerInferenceRate.from_usd": PerInferenceRate.from_usd,
     "Money.scaled": Money(10**6).scaled,
-    "PerInferenceRate.scaled": PerInferenceRate(10**6).scaled,
     "DiscountPolicy": lambda value: DiscountPolicy("wacc", value),
     "DiscountPolicy, no discounting": lambda value: DiscountPolicy("none", value),
     "SweepSpec": lambda value: SweepSpec("capex_multiplier", (value,)),

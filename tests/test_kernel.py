@@ -20,6 +20,7 @@ from lcoai import (
     DiscountPolicy,
     Horizon,
     Money,
+    NO_DISCOUNT,
     OpexModel,
     PerInferenceRate,
     SweepSpec,
@@ -167,6 +168,14 @@ class TestAgainstReference:
         volume = 10**40  # capital, fixed charges and rescale rounding are below 10**-20
         assert abs(reference_cost(s, volume) - limit) < Fraction(1, 10**20)
 
+    @pytest.mark.parametrize("policy", [NO_DISCOUNT, DiscountPolicy("wacc", Fraction(8, 100)),
+                                        DiscountPolicy("wacc", Fraction(8, 100), True)],
+                             ids=["none", "wacc", "wacc-denominator"])
+    def test_limit_of_an_all_zero_projection_is_the_uniform_shape(self, policy):
+        s = CostScenario("idle", (), OpexModel(PerInferenceRate(1_000)),
+                         VolumeProjection((0,) * 8), Horizon(8, 3), policy)
+        assert _limit(CompiledScenario(s)) == reference_limit(s)
+
     @settings(max_examples=200)
     @given(s=scenarios())
     def test_compute(self, s):
@@ -209,7 +218,8 @@ class TestAgainstReference:
     def test_tornado(self, s, swing):
         def at(parameter, k):
             if parameter == "opex_rate":
-                derived = with_opex_rate(s, s.opex.per_inference.scaled(k))
+                rate = Money(s.opex.per_inference.rate).scaled(k).amount
+                derived = with_opex_rate(s, PerInferenceRate(rate))
             elif parameter == "volume":
                 derived = with_total_volume(s, round_half_away(s.volume.total * k))
             else:
@@ -228,10 +238,27 @@ class TestAgainstReference:
 
     @settings(max_examples=100)
     @given(data=st.data(), search_max=st.integers(1, 10**7))
-    def test_bisection_break_even(self, data, search_max):
+    def test_break_even_matches_the_reference_bisection(self, data, search_max):
         horizon = data.draw(horizons())
         a = data.draw(scenarios(horizon, "a"))
         b = data.draw(scenarios(horizon, "b"))
+        if data.draw(st.booleans()):  # no capital and a dearer rate: the curves may cross
+            rate = a.opex.per_inference.rate + data.draw(st.integers(1, 10**5))
+            b = replace(b, capex=(), opex=OpexModel(PerInferenceRate(rate), b.opex.fixed_per_period))
+        assert break_even(a, b, search_max) == reference_break_even(a, b, search_max)
+
+    @pytest.mark.parametrize("regime", ["undiscounted", "one-period"])
+    @settings(max_examples=100)
+    @given(data=st.data(), search_max=st.one_of(st.sampled_from((1, 2, 10**18)),
+                                                st.integers(1, 10**9)))
+    def test_equal_weights_pairs_match_the_reference_bisection(self, regime, data, search_max):
+        # the closed form's regime: 1-40 undiscounted periods, or one period
+        # under any policy, with fixed OPEX drawn as often as not
+        months = data.draw(st.sampled_from((12, 3, 1)))
+        horizon = Horizon(data.draw(st.integers(1, 40)) if regime == "undiscounted" else 1, months)
+        a, b = (data.draw(scenarios(horizon, name)) for name in "ab")
+        if regime == "undiscounted":
+            a, b = (replace(s, discount=NO_DISCOUNT) for s in (a, b))
         if data.draw(st.booleans()):  # no capital and a dearer rate: the curves may cross
             rate = a.opex.per_inference.rate + data.draw(st.integers(1, 10**5))
             b = replace(b, capex=(), opex=OpexModel(PerInferenceRate(rate), b.opex.fixed_per_period))
@@ -246,6 +273,20 @@ class TestAgainstReference:
         result = break_even(a, b)
         assert result == reference_break_even(a, b, 10**9)
         assert result.crossover_volume == 100_001
+
+    def test_tie_on_a_bisected_pair_is_not_yet_a_crossover(self):
+        # weights 110 and 100 over L = 121: at an even volume V both periods
+        # hold V/2, so the capital gap 105,000 * 121 equals 121 * 105 * V at 1,000
+        policy, horizon = DiscountPolicy("wacc", Fraction(1, 10)), Horizon(2, 12)
+        heavy = CostScenario("heavy", (CapexItem("c", Money(105_000)),),
+                             OpexModel(PerInferenceRate(1_000)), VolumeProjection((1, 1)),
+                             horizon, policy)
+        light = CostScenario("light", (), OpexModel(PerInferenceRate(1_121)),
+                             VolumeProjection((1, 1)), horizon, policy)
+        assert reference_cost(heavy, 1_000) == reference_cost(light, 1_000)
+        result = break_even(heavy, light)
+        assert result == reference_break_even(heavy, light, 10**9)
+        assert result.crossover_volume == 1_001
 
     def test_crossing_quarterly_wacc_pair(self):
         # a crossover inside the search range on non-whole-year factors

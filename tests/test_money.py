@@ -181,6 +181,3 @@ class TestPerInferenceRate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             PerInferenceRate(-1)
-
-    def test_scaled(self):
-        assert PerInferenceRate(4_800).scaled(Fraction(7, 10)).rate == 3_360

@@ -1,5 +1,6 @@
 """Sweeps, break-even volumes, and tornado summaries."""
 
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from lcoai import (
     BreakEvenResult,
     CapexItem,
     CostScenario,
+    DiscountPolicy,
     Horizon,
     IncompatibleScenariosError,
     Money,
+    NO_DISCOUNT,
     OpexModel,
     PerInferenceRate,
     SweepSpec,
@@ -28,11 +31,25 @@ from lcoai import (
 from lcoai.sensitivity import MAX_SEARCH_MAX
 
 from conftest import simple_scenario
-from test_kernel import reference_break_even
+from test_kernel import reference_break_even, reference_cost
 
 
 def _rate(usd):
     return PerInferenceRate.from_usd(usd)
+
+
+def _pair(periods, period_months=3, discount=NO_DISCOUNT):
+    """A capital-heavy scenario with fixed OPEX and a pure per-inference one
+    over the same horizon; they cross near 13 million inferences."""
+    horizon = Horizon(periods, period_months)
+    volumes = [1_000 * (t + 1) for t in range(periods)]
+    heavy = simple_scenario("heavy", "100000", "0.001", volumes, horizon=horizon,
+                            discount=discount, fixed_usd=str(Decimal(20_000) / periods))
+    light = simple_scenario("light", "0", "0.01", volumes, horizon=horizon, discount=discount)
+    return heavy, light
+
+
+_WACC = DiscountPolicy("wacc", Fraction(8, 100))
 
 
 class TestSweepSpec:
@@ -313,8 +330,7 @@ class TestBreakEven:
 
     def test_search_max_is_capped(self, llama, gpt41):
         assert break_even(llama, gpt41, search_max=MAX_SEARCH_MAX).crossover_volume == 28_846_154
-        fixed = simple_scenario("fixed", "0", "0.002", 1, fixed_usd="1000")
-        for a, b in ((llama, gpt41), (llama, fixed)):  # closed form and bisection
+        for a, b in ((llama, gpt41), _pair(20, discount=_WACC)):  # closed form and bisection
             with pytest.raises(ValueError, match="at most"):
                 break_even(a, b, search_max=MAX_SEARCH_MAX + 1)
 
@@ -323,8 +339,8 @@ class TestBreakEven:
         with pytest.raises(TypeError, match="search_max"):
             break_even(llama, gpt41, search_max)
 
-    def test_non_analytic_pair_uses_exact_bisection(self):
-        # fixed per-period charges push these outside the closed-form regime
+    def test_fixed_charge_pair_crosses_at_the_first_strictly_cheaper_volume(self):
+        # fixed per-period charges act as capital, with no CAPEX on either side
         a = simple_scenario("fixed-heavy", "0", "0.001", 1, fixed_usd="5000")
         b = simple_scenario("fixed-light", "0", "0.002", 1, fixed_usd="1000")
         result = break_even(a, b)
@@ -337,6 +353,40 @@ class TestBreakEven:
         assert exact(a, v) < exact(b, v)
         if v > 1:
             assert exact(a, v - 1) >= exact(b, v - 1)
+
+    @pytest.mark.parametrize("pair, confirmed", [
+        (_pair(1, 12, DiscountPolicy("wacc", Fraction(8, 100), False)), False),
+        (_pair(1, 12, DiscountPolicy("wacc", Fraction(8, 100), True)), False),
+        (_pair(40), False),
+        (_pair(20, discount=_WACC), True),
+        (_pair(20)[:1] + _pair(20, discount=_WACC)[1:], True),  # one side's weights differ
+    ], ids=["1-period-wacc", "1-period-wacc-denominator", "40-period-undiscounted",
+            "20-quarter-wacc", "undiscounted-against-wacc"])
+    def test_only_unequal_weights_bisect_and_confirm(self, monkeypatch, pair, confirmed):
+        # equal weights (no discounting, or one period) take the closed form,
+        # which calls compute_lcoai nowhere; every other pair confirms with it
+        calls = []
+        real = compute_lcoai
+
+        def counted(scenario):
+            calls.append(scenario.name)
+            return real(scenario)
+
+        monkeypatch.setattr("lcoai.sensitivity.compute_lcoai", counted)
+        result = break_even(*pair)
+        assert result.crossover_volume > 1 and result.cheaper_above == "heavy"
+        assert result == reference_break_even(*pair, 10**9)
+        assert bool(calls) == confirmed
+
+    def test_long_undiscounted_pair_crosses_in_constant_time(self):
+        periods = 100_000
+        heavy, light = _pair(periods, 1)
+        began = time.perf_counter()
+        result = break_even(heavy, light)
+        assert time.perf_counter() - began < 1
+        v = result.crossover_volume
+        assert reference_cost(heavy, v) < reference_cost(light, v)
+        assert reference_cost(heavy, v - 1) >= reference_cost(light, v - 1)
 
     @settings(max_examples=100)
     @given(
@@ -420,8 +470,8 @@ class TestTornado:
         # oracle: capex/volume + swung rate, per 1,000
         entry = _entry(tornado(llama, Fraction(3, 10)), "opex_rate")
         capex_share = Fraction(Money.from_usd("200000").amount, 10_000_000)
-        low_rate = PerInferenceRate.from_usd("0.0048").scaled(Fraction(7, 10))
-        high_rate = PerInferenceRate.from_usd("0.0048").scaled(Fraction(13, 10))
+        low_rate = PerInferenceRate(Money.from_usd("0.0048").scaled(Fraction(7, 10)).amount)
+        high_rate = PerInferenceRate(Money.from_usd("0.0048").scaled(Fraction(13, 10)).amount)
         assert low_rate == PerInferenceRate.from_usd("0.00336")
         assert high_rate == PerInferenceRate.from_usd("0.00624")
         assert entry.low.amount == (capex_share + low_rate.rate) * 1000

@@ -161,6 +161,11 @@ def test_terms_at_is_the_rescaled_projections_terms(scenario, total):
     assert kernel.terms_at(total) == expected
 
 
+@pytest.mark.parametrize("per_period, total", [((0,), 0), ((0,), 7), ((5,), 0), ((5,), 7)])
+def test_one_period_rescales_to_the_total(per_period, total):
+    assert _rescaled(per_period, total) == (total,)
+
+
 @pytest.mark.parametrize("points", [10_000, 100_000])
 def test_sweep_memory_is_flat_in_the_point_count(points):
     argv = ["sweep", TABLE1, GPT, "volume", "--start", "0", "--stop", str(points - 1),

@@ -57,6 +57,15 @@ def _wacc(rate: str, periods: int, months: int, denominator: bool) -> dict:
                          "discount_denominator": denominator}}
 
 
+def _pair_file(directory: Path) -> str:
+    """``s`` and a capital-free ``api`` on its undiscounted 3-year horizon,
+    which cross on the closed form: fixed OPEX and equal weights."""
+    path = directory / "pair.json"
+    api = dict(_SCENARIO, name="api", capex=[], opex={"per_inference_usd": "0.03"})
+    path.write_text(json.dumps({"version": 1, "scenarios": [_SCENARIO, api]}))
+    return str(path)
+
+
 def _readme_python(heading: str) -> str:
     """The first python code block under a README heading."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -88,6 +97,8 @@ def corpus(tmp: Path) -> list:
         ("capex sweep over three chunks", cli + ["sweep", TABLE1, LLAMA, "capex_multiplier",
                                                  "--start", "0.5", "--stop", "1.4999",
                                                  "--step", "0.0001"]),
+        ("breakeven 3-period pair with fixed OPEX", cli + ["breakeven", _pair_file(tmp),
+                                                            "s", "api"]),
         ("help", cli + ["--help"]),
     ]
     cases += [(f"demo {demo.stem}", [str(demo.relative_to(ROOT))])

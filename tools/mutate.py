@@ -65,12 +65,16 @@ MUTANTS = (
            "equal limits never cross, so the search is not exhausted"),
     Mutant(_SENS, "if diff(hi, lo, mid) < 0:", "if diff(hi, lo, mid) <= 0:", _BREAK_EVEN,
            "the bisection keeps a tie below the crossover"),
+    Mutant(_SENS, "volume = (2 * d1 - d2) // (d1 - d2) + 1", "volume = (2 * d1 - d2) // (d1 - d2)",
+           _BREAK_EVEN, "the closed form's crossover is strictly past the tie"),
+    Mutant(_SENS, "elif hi.equal_weights and lo.equal_weights:",
+           "elif hi.equal_weights or lo.equal_weights:", _BREAK_EVEN,
+           "a pair takes the closed form only when both sides' weights are equal"),
     Mutant("src/lcoai/decision.py", "tuning_capex.amount // advantage + 1",
-           "tuning_capex.amount // advantage", _BREAK_EVEN + ("tests/test_decision.py",),
-           "the closed-form threshold is strictly past the tie"),
-    Mutant(_SENS, "shape = kernel.volumes if any(kernel.volumes)",
-           "shape = kernel.volumes if all(kernel.volumes)", ("tests/test_kernel.py",),
-           "a projection with some zero periods keeps its shape in the limit"),
+           "tuning_capex.amount // advantage", ("tests/test_decision.py",),
+           "the fine-tune threshold is strictly past the tie"),
+    Mutant(_SENS, "or len(kernel.volumes)", "or 1", ("tests/test_kernel.py",),
+           "an all-zero projection tends to the uniform shape in the limit"),
     Mutant(_SENS, "ks = (1 - swing, 1 + swing)", "ks = (1 + swing, 1 - swing)",
            ("tests/test_sensitivity.py",), "tornado's low end is the (1 - swing) point"),
     # the O(1) volume point and the streamed sweep command
