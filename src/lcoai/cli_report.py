@@ -1,9 +1,9 @@
 """Command-line surface and report rendering.
 
-Loads scenario configuration files (JSON, schema v1), dispatches to the
-analysis modules, and emits cent-exact Markdown/CSV tables and plot-data
-series. Exit codes: 0 success, 1 usage, 2 not found, 3 metric undefined,
-4 parse error.
+Loads scenario configuration files (JSON, schema v1, read by
+:mod:`lcoai.schema`), dispatches to the analysis modules, and emits
+cent-exact Markdown/CSV tables and plot-data series. Exit codes: 0 success,
+1 usage, 2 not found, 3 metric undefined, 4 parse error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -21,18 +20,15 @@ from functools import cache
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
+# Every analysis module is imported here, not in the handler that uses it:
+# bench/tracing.py looks each of them up in sys.modules once this module is
+# imported.
 from .cost_core import (
-    HORIZON_LIFE,
-    NO_DISCOUNT,
-    CapexItem,
     CompiledScenario,
     CostScenario,
-    DiscountPolicy,
     Horizon,
     Money,
-    OpexModel,
     PerInferenceRate,
-    VolumeProjection,
     _echo,
     _fixed_point,
     _round_div,
@@ -45,15 +41,21 @@ from .cost_core import (
 )
 from .decision import baseline_savings, compare, fine_tune_threshold
 from .errors import (
-    FieldError,
     IncompatibleScenariosError,
     LogParseError,
     ScenarioFileError,
     UndefinedMetricError,
-    decode_error_message,
-    decoder_limit_message,
 )
 from .ingest import VolumeCount, count_valid, parse_log, parse_rfc3339
+# re-exported; the commands call load_scenarios by this module's name, which
+# is where bench/tracing.py times a load
+from .schema import (
+    SCHEMA_VERSION,
+    load_scenarios,
+    save_scenarios,
+    scenarios_from_dict,
+    scenarios_to_dict,
+)
 from .sensitivity import (
     DEFAULT_SEARCH_MAX,
     SWEEP_PARAMETERS,
@@ -63,8 +65,6 @@ from .sensitivity import (
     _series,
     break_even,
 )
-
-SCHEMA_VERSION = 1
 
 # largest grid a sweep command will build
 MAX_SWEEP_POINTS = 1_000_000
@@ -230,175 +230,6 @@ def _multiplier_cell(point: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scenario files (JSON, schema v1)
-
-def load_scenarios(path) -> list:
-    """Load scenario definitions from a JSON file.
-
-    Money is given as decimal-string USD and parsed exactly to micro-dollars;
-    more than 6 fractional digits is a resolution error. Missing horizon and
-    discount sections default to one 12-month period and no discounting.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            message, line = decode_error_message(exc)
-            raise ScenarioFileError("$", f"{message} (line {line})") from exc
-        except UnicodeDecodeError as exc:
-            raise ScenarioFileError("$", "not valid UTF-8") from exc
-        except (RecursionError, ValueError) as exc:  # too deep, or too many digits
-            raise ScenarioFileError("$", decoder_limit_message(exc)) from None
-    return scenarios_from_dict(doc)
-
-
-def scenarios_from_dict(doc) -> list:
-    if not isinstance(doc, dict):
-        raise ScenarioFileError("$", "must be an object")
-    version = doc.get("version")
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ScenarioFileError(
-            "version", f"unknown version {version!r} (expected {SCHEMA_VERSION})")
-    entries = doc.get("scenarios")
-    if not isinstance(entries, list):
-        raise ScenarioFileError("scenarios", "must be a list")
-    scenarios = []
-    seen = set()
-    for i, entry in enumerate(entries):
-        scenario = _scenario_from_dict(entry, i)
-        if scenario.name in seen:
-            raise ScenarioFileError(f"scenarios[{i}].name",
-                                    f"duplicate scenario name {scenario.name!r}")
-        seen.add(scenario.name)
-        scenarios.append(scenario)
-    return scenarios
-
-
-def _require_dict(value, field: str = "") -> dict:
-    if not isinstance(value, dict):
-        raise FieldError(field, "must be an object")
-    return value
-
-
-def _require_list(value, field: str = "") -> list:
-    if not isinstance(value, list):
-        raise FieldError(field, "must be a list")
-    return value
-
-
-def _require_str(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise FieldError(field, "must be a string")
-    return value
-
-
-def _parsed(obj: dict, key: str, parse, default=None):
-    """``parse(obj[key])``, with a conversion error reported at ``key``."""
-    try:
-        return parse(obj.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise FieldError(key, str(exc)) from None
-
-
-def _scenario_from_dict(entry, i: int) -> CostScenario:
-    """Scenario ``scenarios[i]``: JSON shape checks here; the domain
-    constructors validate every value. A FieldError names a field of the
-    object being built: the scenario itself, or its ``section`` (capex item
-    ``j`` within ``capex``). The full path is written only to raise."""
-    section, j = "", None
-    try:
-        entry = _require_dict(entry)
-        name = _require_str(entry.get("name"), "name")
-        section = "capex"
-        capex = []
-        for j, raw in enumerate(_require_list(entry.get("capex", []))):
-            raw = _require_dict(raw)
-            capex.append(CapexItem(_require_str(raw.get("label"), "label"),
-                                   _parsed(raw, "amount_usd", Money.from_usd),
-                                   raw.get("asset_life_months", HORIZON_LIFE)))
-        section, j = "opex", None
-        raw = _require_dict(entry.get("opex"))
-        opex = OpexModel(_parsed(raw, "per_inference_usd", PerInferenceRate.from_usd),
-                         _parsed(raw, "fixed_per_period_usd", Money.from_usd, 0))
-        section = "volume"
-        raw = _require_dict(entry.get("volume"))
-        volume = VolumeProjection(_require_list(raw.get("per_period"), "per_period"))
-        section = "horizon"
-        raw = _require_dict(entry.get("horizon", {}))
-        horizon = Horizon(raw.get("periods", 1), raw.get("period_length_months", 12))
-        section = "discount"
-        raw = _require_dict(entry.get("discount", {}))
-        discount = NO_DISCOUNT
-        if raw:
-            mode = raw.get("mode", "none")
-            # a rate given alongside mode "none" is unused; normalize it away
-            rate = raw.get("annual_rate") if mode == "wacc" else None
-            if mode == "wacc" and not isinstance(rate, str):
-                raise FieldError("annual_rate", "must be a decimal string")
-            discount = DiscountPolicy(mode, rate, raw.get("discount_denominator", False))
-        section = ""
-        return CostScenario(name, capex, opex, volume, horizon, discount)
-    except FieldError as exc:
-        raise ScenarioFileError(_entry_path(i, section, j, exc.field), exc.message) from None
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFileError(_entry_path(i, section, j), str(exc)) from None
-
-
-def _entry_path(i: int, section: str, j: Optional[int], field: str = "") -> str:
-    """Path of ``field`` (or of the object itself) in section ``section`` of
-    ``scenarios[i]``, such as ``scenarios[2].capex[0].label``."""
-    path = f"scenarios[{i}]"
-    if section:
-        path += f".{section}"
-    if j is not None:
-        path += f"[{j}]"
-    return f"{path}.{field}" if field else path
-
-
-def scenarios_to_dict(scenarios: Iterable[CostScenario]) -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "scenarios": [_scenario_to_dict(s) for s in scenarios],
-    }
-
-
-def _scenario_to_dict(s: CostScenario) -> dict:
-    discount = {
-        "mode": s.discount.mode,
-        "discount_denominator": s.discount.discount_denominator,
-    }
-    if s.discount.mode == "wacc":
-        discount["annual_rate"] = decimal_text(s.discount.annual_rate)
-    return {
-        "name": s.name,
-        "capex": [
-            {
-                "label": item.label,
-                "amount_usd": item.amount.usd_string(),
-                "asset_life_months": item.asset_life_months,
-            }
-            for item in s.capex
-        ],
-        "opex": {
-            "per_inference_usd": s.opex.per_inference.usd_string(),
-            "fixed_per_period_usd": s.opex.fixed_per_period.usd_string(),
-        },
-        "volume": {"per_period": list(s.volume.per_period)},
-        "horizon": {
-            "periods": s.horizon.periods,
-            "period_length_months": s.horizon.period_length_months,
-        },
-        "discount": discount,
-    }
-
-
-def save_scenarios(path, scenarios: Iterable[CostScenario]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenarios_to_dict(scenarios), fh, indent=2)
-        fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 class _Parser(argparse.ArgumentParser):
@@ -406,6 +237,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        # argparse drops a failed write of the help text; main() reports it
+        (sys.stdout if file is None else file).write(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -650,11 +485,12 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _shared_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        status = args.handler(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # after --help, or a usage error
+            status = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        else:
+            status = args.handler(args)
         sys.stdout.flush()  # a failed write shows here, not at interpreter exit
         return status
     except (ScenarioFileError, LogParseError) as err:

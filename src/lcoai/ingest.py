@@ -22,10 +22,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import MAXYEAR, datetime, timezone
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from .cost_core import Horizon
 from .errors import LogParseError, decode_error_message, decoder_limit_message
+
+if TYPE_CHECKING:  # an annotation only, so parsing a log never loads the cost kernel
+    from .cost_core import Horizon
 
 
 class RecordKind(Enum):

@@ -512,8 +512,10 @@ class TestCliCommands:
                 raise error
 
         monkeypatch.setattr(sys, "stdout", Failing())
-        assert main(["table", str(FIXTURES / "table1.json")]) == code
-        assert capsys.readouterr().err == message
+        # argparse writes the help text itself
+        for argv in (["table", str(FIXTURES / "table1.json")], ["--help"], ["sweep", "--help"]):
+            assert main(argv) == code, argv
+            assert capsys.readouterr().err == message
 
     def test_malformed_file_exits_4(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -969,12 +971,13 @@ class TestCliSubprocess:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_a_full_disk_prints_one_error_and_exits_1(self, unbuffered):
-        with open("/dev/full", "w") as full:
-            result = subprocess.run(
-                [sys.executable, "-m", "lcoai", "table", str(FIXTURES / "table1.json")],
-                stdout=full, stderr=subprocess.PIPE, text=True, env=_env(unbuffered))
-        assert result.returncode == 1
-        assert result.stderr == "error: [Errno 28] No space left on device\n"
+        for argv in (["table", str(FIXTURES / "table1.json")], ["--help"]):
+            with open("/dev/full", "w") as full:
+                result = subprocess.run(
+                    [sys.executable, "-m", "lcoai", *argv],
+                    stdout=full, stderr=subprocess.PIPE, text=True, env=_env(unbuffered))
+            assert result.returncode == 1, argv
+            assert result.stderr == "error: [Errno 28] No space left on device\n"
 
     def test_exit_code_surfaces_through_interpreter(self):
         result = subprocess.run(

@@ -6,7 +6,9 @@ Runs one fixed corpus of commands on every interpreter named in the
 and compares each case's stdout, stderr and exit code byte for byte with the
 first interpreter's. Every case runs from the repository root with
 ``PYTHONPATH=src`` and ``python -W error``: CLI cases as ``python -m lcoai``,
-the demos as scripts, and the README's library quick start as ``-c`` code. A warning that one interpreter raises (a deprecation,
+the demos as scripts, and as ``-c`` code the README's library quick start
+and two scripts that print the ``lcoai`` modules that ``load_scenarios`` and
+``parse_log`` load. A warning that one interpreter raises (a deprecation,
 say) is then an error there, and so a difference.
 The ``table`` cases run ``fixtures/table1.json`` with its scenarios in every
 order under three hash seeds, and must also print the same as each other.
@@ -28,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE1 = "fixtures/table1.json"
+TELEMETRY = "fixtures/telemetry_sample.jsonl"
 LLAMA, GPT = "LLaMA-2-13B self-hosted", "GPT-4.1 API"
 
 _SCENARIO = {
@@ -39,6 +42,8 @@ _SCENARIO = {
     "horizon": {"periods": 3, "period_length_months": 12},
     "discount": {"mode": "none"},
 }
+
+_PRINT_LOADED = "import sys\nprint(*sorted(m for m in sys.modules if m.startswith('lcoai.')))\n"
 
 _INFERENCE = '{"ts": "2025-01-01T00:00:01Z", "kind": "inference", "status": "ok"}\n'
 
@@ -91,7 +96,7 @@ def corpus(tmp: Path) -> list:
         ("readme finetune", cli + ["finetune", "--base", "0.010", "--tuned", "0.005",
                                    "--capex", "50000"]),
         ("readme baseline", cli + ["baseline", TABLE1, LLAMA, "--baseline", "300"]),
-        ("readme ingest", cli + ["ingest", "fixtures/telemetry_sample.jsonl"]),
+        ("readme ingest", cli + ["ingest", TELEMETRY]),
         ("readme capex sweep", cli + ["sweep", TABLE1, LLAMA, "capex_multiplier",
                                       "--start", "0.5", "--stop", "1.5", "--step", "0.1"]),
         ("capex sweep over three chunks", cli + ["sweep", TABLE1, LLAMA, "capex_multiplier",
@@ -100,6 +105,12 @@ def corpus(tmp: Path) -> list:
         ("breakeven 3-period pair with fixed OPEX", cli + ["breakeven", _pair_file(tmp),
                                                             "s", "api"]),
         ("help", cli + ["--help"]),
+        # the lcoai modules one library call loads
+        ("modules loaded by load_scenarios",
+         ["-c", f"import lcoai\nlcoai.load_scenarios({TABLE1!r})\n{_PRINT_LOADED}"]),
+        ("modules loaded by parse_log",
+         ["-c", f"import lcoai\nwith open({TELEMETRY!r}, 'rb') as fh:\n"
+                f"    lcoai.parse_log(fh)\n{_PRINT_LOADED}"]),
     ]
     cases += [(f"demo {demo.stem}", [str(demo.relative_to(ROOT))])
               for demo in sorted((ROOT / "demos").glob("*.py"))]

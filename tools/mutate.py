@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 _SENS = "src/lcoai/sensitivity.py"
 _CORE = "src/lcoai/cost_core.py"
 _CLI = "src/lcoai/cli_report.py"
+_SCHEMA = "src/lcoai/schema.py"
 _INGEST = "src/lcoai/ingest.py"
 _ERRORS = "src/lcoai/errors.py"
 _INIT = "src/lcoai/__init__.py"
@@ -124,10 +125,10 @@ MUTANTS = (
     Mutant(_CORE, "self.horizon.months > MAX_DISCOUNTED_MONTHS",
            "self.horizon.months >= MAX_DISCOUNTED_MONTHS", _LIMITS + ("tests/test_cost_core.py",),
            "a discounted horizon of exactly the cap is computed"),
-    Mutant(_CLI, "except (RecursionError, ValueError) as exc:  # too deep, or too many digits",
+    Mutant(_SCHEMA, "except (RecursionError, ValueError) as exc:  # too deep, or too many digits",
            "except ValueError as exc:", _LIMITS,
            "a scenario file nested too deep exits 4, without a traceback"),
-    Mutant(_CLI, "except (RecursionError, ValueError) as exc:  # too deep, or too many digits",
+    Mutant(_SCHEMA, "except (RecursionError, ValueError) as exc:  # too deep, or too many digits",
            "except RecursionError as exc:", _LIMITS,
            "a scenario file with a 4,301-digit integer exits 4, without a traceback"),
     Mutant(_INGEST, "except (RecursionError, ValueError) as exc:  # too deep, or too many digits",
@@ -145,9 +146,13 @@ MUTANTS = (
            ("tests/test_cli.py",), "any JSON whitespace may stand between the comma and the bracket"),
     Mutant(_ERRORS, "comma = pos\n", "comma = pos + 1\n", ("tests/test_cli.py",),
            "Python 3.13 places its trailing-comma error at the comma"),
-    # the package surface
-    Mutant(_INIT, " and not isinstance(value, _ModuleType))", ")", ("tests/test_surface.py",),
-           "the submodules are no part of __all__"),
+    # the lazy package surface
+    Mutant(_INIT, '"load_scenarios": "schema",', '"load_scenarios": "cli_report",',
+           ("tests/test_surface.py",), "the lazy table names the module that defines each name"),
+    Mutant(_INIT, "    return getattr(_import_module(f\"{__name__}.{module}\"), name)\n",
+           "    value = globals()[name] = getattr(_import_module(f\"{__name__}.{module}\"), name)\n"
+           "    return value\n", ("tests/test_surface.py",),
+           "a name is looked up in its submodule on every use, never kept in the package"),
     # the one integer rule
     Mutant(_CORE, "isinstance(value, int) and not isinstance(value, bool)",
            "isinstance(value, int)", ("tests/test_money.py", "tests/test_cost_core.py"),
