@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 # each public name -> the submodule that defines it
 _SUBMODULE = {
     "HORIZON_LIFE": "cost_core",
-    "MICRO_PER_USD": "cost_core",
     "NO_DISCOUNT": "cost_core",
     "CapexItem": "cost_core",
     "CostScenario": "cost_core",
@@ -33,9 +32,7 @@ _SUBMODULE = {
     "discount_factor": "cost_core",
     "round_half_away": "cost_core",
     "usd_to_micro": "cost_core",
-    "BaselineComparison": "decision",
     "ComparisonRow": "decision",
-    "FineTuneDecision": "decision",
     "baseline_savings": "decision",
     "compare": "decision",
     "fine_tune_threshold": "decision",
@@ -47,7 +44,6 @@ _SUBMODULE = {
     "ScenarioFileError": "errors",
     "UndefinedMetricError": "errors",
     "InferenceRecord": "ingest",
-    "ParseResult": "ingest",
     "RecordKind": "ingest",
     "RecordStatus": "ingest",
     "VolumeCount": "ingest",
@@ -55,9 +51,7 @@ _SUBMODULE = {
     "parse_log": "ingest",
     "parse_rfc3339": "ingest",
     "BreakEvenResult": "sensitivity",
-    "SweepResult": "sensitivity",
     "SweepSpec": "sensitivity",
-    "TornadoEntry": "sensitivity",
     "break_even": "sensitivity",
     "sweep": "sensitivity",
     "tornado": "sensitivity",
@@ -70,7 +64,6 @@ _SUBMODULE = {
     "scenarios_to_dict": "schema",
     "ReportTable": "cli_report",
     "build_comparison_table": "cli_report",
-    "format_rate": "cli_report",
     "format_usd": "cli_report",
     "sweep_series_csv": "cli_report",
 }

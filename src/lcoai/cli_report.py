@@ -36,6 +36,7 @@ from .cost_core import (
     compute_lcoai,
     decimal_places,
     decimal_text,
+    exact_ratio,
     round_half_away,
     usd_to_micro,
 )
@@ -47,15 +48,9 @@ from .errors import (
     UndefinedMetricError,
 )
 from .ingest import VolumeCount, count_valid, parse_log, parse_rfc3339
-# re-exported; the commands call load_scenarios by this module's name, which
-# is where bench/tracing.py times a load
-from .schema import (
-    SCHEMA_VERSION,
-    load_scenarios,
-    save_scenarios,
-    scenarios_from_dict,
-    scenarios_to_dict,
-)
+# the commands call load_scenarios by this module's name, which is where
+# bench/tracing.py times a load
+from .schema import load_scenarios
 from .sensitivity import (
     DEFAULT_SEARCH_MAX,
     SWEEP_PARAMETERS,
@@ -97,11 +92,6 @@ def format_usd(money: Money) -> str:
     """Render with a $ sign, thousands separators and cents ("$1,234.57"),
     rounded half away from zero."""
     return _usd_text(money.amount, 2)
-
-
-def format_rate(rate: PerInferenceRate) -> str:
-    """Per-inference rates render with 4 decimals ($0.0048 style)."""
-    return _usd_text(rate.rate, 4)
 
 
 def _usd_text(micro: int, decimals: int) -> str:
@@ -278,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario_file")
     p.add_argument("name_a")
     p.add_argument("name_b")
-    p.add_argument("--search-max", type=int, default=DEFAULT_SEARCH_MAX,
+    p.add_argument("--search-max", default=str(DEFAULT_SEARCH_MAX),
                    help="largest volume to consider")
     p.set_defaults(handler=_cmd_breakeven)
 
@@ -298,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="count valid inferences in a telemetry log")
     p.add_argument("logfile", help="JSONL telemetry path, or - for stdin")
     p.add_argument("--start", help="horizon start (RFC 3339); default: earliest record")
-    p.add_argument("--periods", type=int, default=1)
-    p.add_argument("--period-months", type=int, default=12)
+    p.add_argument("--periods", default="1")
+    p.add_argument("--period-months", default="12")
     p.add_argument("--include-failed", action="store_true",
                    help="count errored inferences as valid output")
     p.set_defaults(handler=_cmd_ingest)
@@ -321,7 +311,7 @@ def _cmd_compute(args) -> int:
     print(f"capex charged: {format_usd(result.total_capex_charged)}")
     print(f"total opex: {format_usd(result.total_opex)}")
     print(f"valid inferences: {result.total_inferences:,}")
-    print(f"per inference: {format_rate(result.per_inference)}")
+    print(f"per inference: {_usd_text(result.per_inference.rate, 4)}")
     print(f"LCOAI: {format_usd(result.per_thousand)} per 1,000 inferences")
     if result.discounted:
         print("discounted: yes")
@@ -337,17 +327,14 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _grid_int(text: str) -> int:
-    """``int(text)``, worded by lcoai when the text has more digits than the
-    interpreter's integer-string limit: each Python words that differently."""
-    try:
-        return int(text)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if not limit or sum(map(str.isdecimal, text)) <= limit:
-            raise
-    raise ValueError(f"{_echo(text)!r} exceeds the limit ({limit} digits) "
-                     "for integer string conversion")
+def _whole(text: str) -> int:
+    """A whole number of the command line, read by
+    :func:`~lcoai.cost_core.exact_ratio`: "1e3" and "1000.0" read as 1000,
+    and "1.5" raises ``ValueError``."""
+    numerator, denominator = exact_ratio(text)
+    if denominator != 1:
+        raise ValueError(f"not a whole number: {_echo(text)!r}")
+    return numerator
 
 
 def _sweep_grid(parameter: str, start: str, stop: str, step: str) -> tuple:
@@ -356,7 +343,7 @@ def _sweep_grid(parameter: str, start: str, stop: str, step: str) -> tuple:
     micro-dollar rates, or multiplier numerators over ``q``). Every check
     runs before any point is built."""
     if parameter == "volume":
-        first, last, delta = map(_grid_int, (start, stop, step))
+        first, last, delta = map(_whole, (start, stop, step))
     elif parameter == "opex_rate":
         first, last, delta = map(usd_to_micro, (start, stop, step))
     else:  # bounded before any grid point is built
@@ -395,14 +382,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_breakeven(args) -> int:
+    search_max = _whole(args.search_max)
     scenarios = load_scenarios(args.scenario_file)
     a = _pick(scenarios, args.name_a)
     b = _pick(scenarios, args.name_b)
-    result = break_even(a, b, args.search_max)
+    result = break_even(a, b, search_max)
     if result.crossover_volume is None:
         note = f"{result.cheaper_below} is cheaper at every volume"
         if result.search_exhausted:
-            note += f" up to the search bound of {args.search_max:,}"
+            note += f" up to the search bound of {search_max:,}"
         print(f"crossover: none ({note})")
     else:
         print(f"crossover: {result.crossover_volume:,} inferences")
@@ -440,12 +428,13 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    periods, period_months = _whole(args.periods), _whole(args.period_months)
     if args.logfile == "-":
         parsed = parse_log(sys.stdin.buffer, strict=args.strict)
     else:
         with open(args.logfile, "rb") as fh:
             parsed = parse_log(fh, strict=args.strict)
-    horizon = Horizon(args.periods, args.period_months)
+    horizon = Horizon(periods, period_months)
     start = (parse_rfc3339(args.start) if args.start
              else min((r.timestamp for r in parsed.records), default=None))
     counts = (count_valid(parsed.records, horizon, start, include_failed=args.include_failed)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import lt, mul
+from operator import lt
 from typing import Iterable, Iterator, Literal, Optional
 
 from .cost_core import (
@@ -70,23 +70,17 @@ class SweepSpec:
         if self.parameter == "volume":
             if not all(map(_is_int, points)) or min(points) < 0:
                 raise ValueError("volume points must be non-negative integers")
-            increasing = all(map(lt, points, points[1:]))
         elif self.parameter == "opex_rate":
             if not all(isinstance(p, PerInferenceRate) for p in points):
                 raise ValueError("opex points must be PerInferenceRate values")
-            rates = [p.rate for p in points]
-            increasing = all(map(lt, rates, rates[1:]))
         elif self.parameter == "capex_multiplier":
             points = tuple(p if isinstance(p, Fraction) else Fraction(*exact_ratio(p)) for p in points)
-            nums = [p.numerator for p in points]
-            dens = [p.denominator for p in points]
-            if min(nums) <= 0:  # denominators are positive
+            if min(points) <= 0:
                 raise ValueError("capex multipliers must be positive")
-            # a < b exactly when a.numerator * b.denominator < b.numerator * a.denominator
-            increasing = all(map(lt, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))
         else:
             raise ValueError(f"unknown sweep parameter {self.parameter!r}")
-        if not increasing:
+        # ints, PerInferenceRate (ordered by its rate) or Fractions
+        if not all(map(lt, points, points[1:])):
             raise ValueError("sweep points must be strictly increasing")
         object.__setattr__(self, "points", points)
 

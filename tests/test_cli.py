@@ -657,32 +657,70 @@ class TestCliCommands:
             f"error: more than {MAX_DECIMAL_EXPONENT} decimal places "
             f"(a denominator over 10^{MAX_DECIMAL_EXPONENT})\n")
 
-    @pytest.mark.parametrize("start", ["9" * 4_301, "9" * 4_301 + "x", "x" + "9" * 5_000,
-                                       "9_" * 4_300 + "9"])
-    def test_sweep_volume_past_the_integer_string_limit_in_lcoai_words(self, start, capsys):
-        code = main(["sweep", str(FIXTURES / "table1.json"), "GPT-4.1 API", "volume",
-                     "--start", start, "--stop", "1", "--step", "1"])
-        assert code == 1
-        limit = sys.get_int_max_str_digits()
-        assert capsys.readouterr().err == (
-            f"error: '{start[:20]}[{len(start) - 40:,} characters left out]{start[-20:]}' "
-            f"exceeds the limit ({limit} digits) for integer string conversion\n")
-
-    def test_sweep_volume_keeps_the_int_grammar(self):
+    def test_sweep_volume_is_read_as_decimal_text(self, capsys):
         assert _grid_values("volume", " 1_000 ", "+2000", "\u0661\u0660\u0660\u0660") == [
             1000, 2000]
-        # a malformed value with no more digits than the limit keeps int()'s words
-        for start in ("abc", "9" * 4_300 + "x"):
-            with pytest.raises(ValueError, match="invalid literal for int"):
-                _sweep_grid("volume", start, "1", "1")
-        # with the limit off (0), int() refuses only malformed text
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            with pytest.raises(ValueError, match="invalid literal for int"):
-                _sweep_grid("volume", "9" * 5_000 + "x", "1", "1")
-        finally:
-            sys.set_int_max_str_digits(limit)
+        assert _grid_values("volume", "1e3", "2000.0", "10E2") == [1000, 2000]
+        # a whole number of 101 digits is read; the grid is its one point
+        assert _grid_values("volume", "9" * 101, "9" * 101, "1") == [int("9" * 101)]
+        argv = ["sweep", str(FIXTURES / "table1.json"), "GPT-4.1 API", "volume",
+                "--start", "1000", "--stop", "2000", "--step", "1000"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        argv[5] = "1e3"
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("start, words", [
+        ("1.5", "not a whole number: '1.5'"),
+        ("1000.5e-1", "not a whole number: '1000.5e-1'"),
+        ("x", "not a decimal value: 'x'"),
+        ("1" + "0" * 101, f"the exponent of '1{'0' * 19}[62 characters left out]{'0' * 20}' "
+                          f"is outside ±{MAX_DECIMAL_EXPONENT}"),
+        ("9" * 200, f"the exponent of '{'9' * 20}[160 characters left out]{'9' * 20}' "
+                    f"is outside ±{MAX_DECIMAL_EXPONENT}"),
+    ])
+    def test_sweep_volume_that_is_not_a_bounded_whole_number_exits_1(self, start, words,
+                                                                     capsys):
+        code = main(["sweep", str(FIXTURES / "table1.json"), "GPT-4.1 API", "volume",
+                     "--start", start, "--stop", "1" + "0" * 101, "--step", "1"])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {words}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["breakeven", "FILE", "a", "b", "--search-max"],
+        ["ingest", "FILE", "--periods"],
+        ["ingest", "FILE", "--period-months"],
+    ], ids=["search-max", "periods", "period-months"])
+    @pytest.mark.parametrize("value, words", [
+        ("9" * 5_000, f"the exponent of '{'9' * 20}[4,960 characters left out]{'9' * 20}' "
+                      f"is outside ±{MAX_DECIMAL_EXPONENT}"),
+        ("1.5", "not a whole number: '1.5'"),
+        ("x", "not a decimal value: 'x'"),
+    ], ids=["5,000 digits", "fraction", "malformed"])
+    def test_an_integer_option_is_read_before_any_file(self, argv, value, words, tmp_path,
+                                                       capsys):
+        # the file does not exist: the malformed value is reported first
+        argv = [str(tmp_path / "missing") if arg == "FILE" else arg for arg in argv]
+        assert main(argv + [value]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {words}\n")
+        assert len(err.encode()) < 200
+
+    def test_integer_options_read_decimal_text(self, capsys):
+        table = str(FIXTURES / "table1.json")
+        log = str(FIXTURES / "telemetry_sample.jsonl")
+        for plain, spelled in [
+                (["breakeven", table, "LLaMA-2-13B self-hosted", "Claude Haiku API",
+                  "--search-max", "1000"],
+                 ["breakeven", table, "LLaMA-2-13B self-hosted", "Claude Haiku API",
+                  "--search-max", "1e3"]),
+                (["ingest", log, "--periods", "3", "--period-months", "1"],
+                 ["ingest", log, "--periods", "3.0", "--period-months", "1E0"])]:
+            assert main(plain) == 0
+            expected = capsys.readouterr()
+            assert main(spelled) == 0
+            assert capsys.readouterr() == expected
 
     def test_parser_is_built_once_and_reused(self, tmp_path, monkeypatch, capsys):
         log = tmp_path / "log.jsonl"
@@ -719,7 +757,8 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("search_max, message", [
         ("0", "positive"), ("-5", "positive"),
-        (str(MAX_SEARCH_MAX + 1), "at most"), ("9" * 4000, "at most")])
+        (str(MAX_SEARCH_MAX + 1), "at most"), ("9" * 101, "at most"),
+        ("9" * 4000, "exponent")])
     def test_breakeven_search_max_out_of_range_exits_1(self, search_max, message, capsys):
         code = main(["breakeven", str(FIXTURES / "table1.json"),
                      "LLaMA-2-13B self-hosted", "GPT-4.1 API", "--search-max", search_max])

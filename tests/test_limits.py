@@ -29,6 +29,10 @@ _SCENARIO = {
 }
 _DEEP = "[" * 100_000
 _DIGITS = "9" * 4_301
+# the first whole number whose exponent is past the bound: 10^101
+_OVER_EXPONENT = "1" + "0" * (MAX_DECIMAL_EXPONENT + 1)
+_EXPONENT_ROW = ("Decimal exponent in scientific notation (money, `annual_rate`, grid values "
+                 "including `volume`, `--search-max`, `--periods`, `--period-months`)")
 
 
 def _scenario_file(tmp_path, **fields) -> str:
@@ -56,7 +60,7 @@ LIMITS = {
             "sweep", TABLE1, GPT, "volume", "--start", "0", "--stop", str(MAX_SWEEP_POINTS),
             "--step", "1"], 1),
     ],
-    "Decimal exponent in scientific notation (money, `annual_rate`, grid values)": [
+    _EXPONENT_ROW: [
         ("money in a file", lambda tmp: ["table", _scenario_file(
             tmp, opex={"per_inference_usd": f"1e-{MAX_DECIMAL_EXPONENT + 1}"})], 4),
         ("annual_rate in a file", lambda tmp: ["table", _scenario_file(
@@ -65,6 +69,16 @@ LIMITS = {
         ("grid step on the command line", lambda tmp: [
             "sweep", TABLE1, GPT, "capex_multiplier", "--start", "1", "--stop", "2",
             "--step", f"1e-{MAX_DECIMAL_EXPONENT + 1}"], 1),
+        ("volume grid start on the command line", lambda tmp: [
+            "sweep", TABLE1, GPT, "volume", "--start", _OVER_EXPONENT, "--stop", "1",
+            "--step", "1"], 1),
+        ("--search-max", lambda tmp: [
+            "breakeven", TABLE1, LLAMA, GPT, "--search-max", _OVER_EXPONENT], 1),
+        ("--periods", lambda tmp: [
+            "ingest", _text_file(tmp, "log.jsonl", _INFERENCE), "--periods", _OVER_EXPONENT], 1),
+        ("--period-months", lambda tmp: [
+            "ingest", _text_file(tmp, "log.jsonl", _INFERENCE), "--period-months",
+            _OVER_EXPONENT], 1),
     ],
     "`annual_rate` decimal places (and `capex_multiplier` grid values)": [
         ("annual_rate in a file", lambda tmp: ["table", _scenario_file(
@@ -97,11 +111,6 @@ LIMITS = {
             tmp, "digits.jsonl", f'{_INFERENCE}\n{_INFERENCE[:-1]}, "n": {_DIGITS}}}\n')], 0),
         ("telemetry line, strict", lambda tmp: ["--strict", "ingest", _text_file(
             tmp, "digits.jsonl", f'{_INFERENCE}\n{_INFERENCE[:-1]}, "n": {_DIGITS}}}\n')], 4),
-    ],
-    "`volume` grid value digits": [
-        ("grid start on the command line", lambda tmp: [
-            "sweep", TABLE1, GPT, "volume", "--start", _DIGITS, "--stop", "1", "--step", "1"],
-         1),
     ],
 }
 

@@ -28,7 +28,7 @@ def test_star_import_binds_exactly_all():
     namespace = {}
     exec("from lcoai import *", namespace)
     del namespace["__builtins__"]
-    assert len(lcoai.__all__) == len(set(lcoai.__all__)) == 57
+    assert len(lcoai.__all__) == len(set(lcoai.__all__)) == 50
     assert sorted(namespace) == sorted(lcoai.__all__)
 
 

@@ -140,11 +140,11 @@ def corpus(tmp: Path) -> list:
         ("limit grid value decimal places", cli + ["sweep", TABLE1, GPT, "capex_multiplier",
                                                    "--start", "1", "--stop", "2",
                                                    "--step", "0." + "1" * 101]),
-        ("limit grid value digits", cli + ["sweep", TABLE1, GPT, "volume", "--start", digits,
-                                           "--stop", "1", "--step", "1"]),
-        ("limit grid value digits, malformed", cli + ["sweep", TABLE1, GPT, "volume",
-                                                      "--start", digits + "x",
-                                                      "--stop", "1", "--step", "1"]),
+        ("limit exponent of a volume grid value", cli + ["sweep", TABLE1, GPT, "volume",
+                                                         "--start", "1" + "0" * 101,
+                                                         "--stop", "1", "--step", "1"]),
+        ("limit exponent of --search-max, 5,000 digits", cli + [
+            "breakeven", TABLE1, LLAMA, GPT, "--search-max", "9" * 5_000]),
         ("limit search-max 0", cli + ["breakeven", TABLE1, LLAMA, GPT, "--search-max", "0"]),
         ("limit search-max 10^18+1", cli + ["breakeven", TABLE1, LLAMA, GPT,
                                             "--search-max", str(10**18 + 1)]),
@@ -166,6 +166,9 @@ def corpus(tmp: Path) -> list:
             tmp, "integer-rate.json", discount={"mode": "wacc", "annual_rate": 0})]),
         ("malformed capex grid value", cli + ["sweep", TABLE1, LLAMA, "capex_multiplier",
                                               "--start", "3/4", "--stop", "2", "--step", "1"]),
+        ("volume grid value 1.5", cli + ["sweep", TABLE1, GPT, "volume",
+                                         "--start", "1.5", "--stop", "2", "--step", "1"]),
+        ("--periods 1e3", cli + ["ingest", TELEMETRY, "--periods", "1e3"]),
         ("annual_rate exponent in file", cli + ["table", _scenario_file(
             tmp, "rate-exponent.json", discount={"mode": "wacc", "annual_rate": "1e-101"})]),
     ]

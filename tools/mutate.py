@@ -115,9 +115,6 @@ MUTANTS = (
            "if value.denominator >= 10**MAX_DECIMAL_EXPONENT:",
            _LIMITS + ("tests/test_cost_core.py", "tests/test_cli.py"),
            "an annual_rate or capex grid value with exactly the bound's decimal places is read"),
-    Mutant(_CLI, "sum(map(str.isdecimal, text)) <= limit", "sum(map(str.isdecimal, text)) < limit",
-           ("tests/test_cli.py",) + _LIMITS,
-           "a malformed volume with exactly the limit's digits keeps int()'s words"),
     Mutant(_SENS, "if search_max <= 0:", "if search_max < 0:",
            _LIMITS + ("tests/test_sensitivity.py",), "a search bound of 0 is refused"),
     Mutant(_SENS, "if search_max > MAX_SEARCH_MAX:", "if search_max >= MAX_SEARCH_MAX:",
@@ -153,6 +150,9 @@ MUTANTS = (
            "    value = globals()[name] = getattr(_import_module(f\"{__name__}.{module}\"), name)\n"
            "    return value\n", ("tests/test_surface.py",),
            "a name is looked up in its submodule on every use, never kept in the package"),
+    # the one whole-number reader of the command line
+    Mutant(_CLI, "if denominator != 1:", "if denominator == 0:", ("tests/test_cli.py",),
+           "a volume grid value of 1.5 is refused"),
     # the one integer rule
     Mutant(_CORE, "isinstance(value, int) and not isinstance(value, bool)",
            "isinstance(value, int)", ("tests/test_money.py", "tests/test_cost_core.py"),
