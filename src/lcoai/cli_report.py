@@ -14,12 +14,12 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
+from ._value import Value
 # Every analysis module is imported here, not in the handler that uses it:
 # bench/tracing.py looks each of them up in sys.modules once this module is
 # imported.
@@ -59,6 +59,7 @@ from .sensitivity import (
     _raw_points,
     _series,
     break_even,
+    checked_search_max,
 )
 
 # largest grid a sweep command will build
@@ -107,24 +108,20 @@ def _format_percent(ratio: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # tables
 
-@dataclass(frozen=True, slots=True)
-class ReportTable:
+class ReportTable(Value):
     """Rectangular cells plus a render format (markdown pipe table or CSV)."""
 
-    columns: tuple
-    rows: tuple
-    format: str = "markdown"
+    __slots__ = ("columns", "rows", "format")
 
-    def __post_init__(self):
-        columns = tuple(str(c) for c in self.columns)
-        rows = tuple(tuple(map(str, row)) for row in self.rows)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", rows)
-        if self.format not in ("markdown", "csv"):
-            raise ValueError(f"unknown table format {self.format!r}")
+    def __init__(self, columns: tuple, rows: tuple, format: str = "markdown"):
+        columns = tuple(str(c) for c in columns)
+        rows = tuple(tuple(map(str, row)) for row in rows)
+        if format not in ("markdown", "csv"):
+            raise ValueError(f"unknown table format {format!r}")
         for row in rows:
             if len(row) != len(columns):
                 raise ValueError("every row must have one cell per column")
+        self._set_fields(columns, rows, format)
 
     def render(self) -> str:
         if self.format == "csv":
@@ -382,7 +379,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_breakeven(args) -> int:
-    search_max = _whole(args.search_max)
+    search_max = checked_search_max(_whole(args.search_max))
     scenarios = load_scenarios(args.scenario_file)
     a = _pick(scenarios, args.name_a)
     b = _pick(scenarios, args.name_b)
@@ -428,15 +425,16 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    periods, period_months = _whole(args.periods), _whole(args.period_months)
+    # every option is checked before the log is opened
+    horizon = Horizon(_whole(args.periods), _whole(args.period_months))
+    start = parse_rfc3339(args.start) if args.start else None
     if args.logfile == "-":
         parsed = parse_log(sys.stdin.buffer, strict=args.strict)
     else:
         with open(args.logfile, "rb") as fh:
             parsed = parse_log(fh, strict=args.strict)
-    horizon = Horizon(periods, period_months)
-    start = (parse_rfc3339(args.start) if args.start
-             else min((r.timestamp for r in parsed.records), default=None))
+    if start is None:
+        start = min((r.timestamp for r in parsed.records), default=None)
     counts = (count_valid(parsed.records, horizon, start, include_failed=args.include_failed)
               if start is not None else VolumeCount(0, 0, 0, 0, {}))
     print(f"valid={counts.valid} "

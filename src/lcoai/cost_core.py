@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Literal, Union
 
+from ._value import OrderedValue, Value
 from .errors import FieldError, InvalidHorizonError, UndefinedMetricError
 
 MICRO_PER_USD = 10**6
@@ -170,15 +170,15 @@ def usd_to_micro(usd: Exact) -> int:
     return micro
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Money:
+class Money(OrderedValue):
     """An exact currency amount: an integer count of micro-dollars."""
 
-    amount: int
+    __slots__ = ("amount",)
 
-    def __post_init__(self):
-        if not _is_int(self.amount):
+    def __init__(self, amount: int):
+        if not _is_int(amount):
             raise TypeError("Money holds an int count of micro-dollars")
+        object.__setattr__(self, "amount", amount)
 
     @classmethod
     def from_usd(cls, usd: Exact) -> "Money":
@@ -199,17 +199,17 @@ class Money:
 ZERO = Money(0)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class PerInferenceRate:
+class PerInferenceRate(OrderedValue):
     """Micro-dollars per single inference. Non-negative."""
 
-    rate: int
+    __slots__ = ("rate",)
 
-    def __post_init__(self):
-        if not _is_int(self.rate):
+    def __init__(self, rate: int):
+        if not _is_int(rate):
             raise TypeError("PerInferenceRate holds an int count of micro-dollars")
-        if self.rate < 0:
+        if rate < 0:
             raise ValueError("per-inference rate must be non-negative")
+        object.__setattr__(self, "rate", rate)
 
     @classmethod
     def from_usd(cls, usd: Exact) -> "PerInferenceRate":
@@ -219,8 +219,7 @@ class PerInferenceRate:
         return decimal_text(Fraction(self.rate, MICRO_PER_USD))
 
 
-@dataclass(frozen=True, slots=True)
-class CapexItem:
+class CapexItem(Value):
     """One upfront investment (hardware, fine-tuning, integration, licensing).
 
     ``asset_life_months`` is either a positive month count for straight-line
@@ -228,73 +227,72 @@ class CapexItem:
     allocate the full amount over the analysis horizon.
     """
 
-    label: str
-    amount: Money
-    asset_life_months: Union[int, str] = HORIZON_LIFE
+    __slots__ = ("label", "amount", "asset_life_months")
 
-    def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
+    def __init__(self, label: str, amount: Money,
+                 asset_life_months: Union[int, str] = HORIZON_LIFE):
+        if not isinstance(label, str) or not label:
             raise FieldError("label", "required non-empty string")
-        life = self.asset_life_months
+        life = asset_life_months
         if life != HORIZON_LIFE and (not _is_int(life) or life <= 0):
             raise FieldError("asset_life_months", 'must be a positive integer or "horizon"')
-        if self.amount.amount < 0:
+        if amount.amount < 0:
             raise ValueError("CAPEX amount must be non-negative")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "amount", amount)
+        object.__setattr__(self, "asset_life_months", life)
 
 
-@dataclass(frozen=True, slots=True)
-class OpexModel:
+class OpexModel(Value):
     """Recurring costs: a per-inference rate plus an optional fixed charge per period."""
 
-    per_inference: PerInferenceRate
-    fixed_per_period: Money = ZERO
+    __slots__ = ("per_inference", "fixed_per_period")
 
-    def __post_init__(self):
-        if self.fixed_per_period.amount < 0:
+    def __init__(self, per_inference: PerInferenceRate, fixed_per_period: Money = ZERO):
+        if fixed_per_period.amount < 0:
             raise ValueError("fixed_per_period must be non-negative")
+        object.__setattr__(self, "per_inference", per_inference)
+        object.__setattr__(self, "fixed_per_period", fixed_per_period)
 
 
-@dataclass(frozen=True, slots=True)
-class VolumeProjection:
+class VolumeProjection(Value):
     """Projected valid-inference counts, one entry per horizon period."""
 
-    per_period: tuple
+    __slots__ = ("per_period",)
 
-    def __post_init__(self):
-        entries = tuple(self.per_period)
-        object.__setattr__(self, "per_period", entries)
+    def __init__(self, per_period: tuple):
+        entries = tuple(per_period)
         if not entries:
             raise FieldError("per_period", "projection needs at least one period")
         for k, v in enumerate(entries):
             if not _is_int(v) or v < 0:
                 raise FieldError(f"per_period[{k}]", "must be a non-negative integer")
+        object.__setattr__(self, "per_period", entries)
 
     @property
     def total(self) -> int:
         return sum(self.per_period)
 
 
-@dataclass(frozen=True, slots=True)
-class Horizon:
+class Horizon(Value):
     """The analysis span: a count of uniform periods, each a whole number of months."""
 
-    periods: int
-    period_length_months: int = 12
+    __slots__ = ("periods", "period_length_months")
 
-    def __post_init__(self):
-        periods, plm = self.periods, self.period_length_months
+    def __init__(self, periods: int, period_length_months: int = 12):
         if not _is_int(periods) or periods <= 0:
             raise InvalidHorizonError("horizon needs a positive period count")
-        if not _is_int(plm) or plm <= 0:
+        if not _is_int(period_length_months) or period_length_months <= 0:
             raise InvalidHorizonError("period length must be a positive month count")
+        object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "period_length_months", period_length_months)
 
     @property
     def months(self) -> int:
         return self.periods * self.period_length_months
 
 
-@dataclass(frozen=True, slots=True)
-class DiscountPolicy:
+class DiscountPolicy(Value):
     """Whether and how future cash flows are discounted.
 
     ``wacc`` mode applies 1/(1+annual_rate)^years to each period's cash
@@ -305,29 +303,29 @@ class DiscountPolicy:
     default.
     """
 
-    mode: Literal["none", "wacc"] = "none"
-    annual_rate: Union[Exact, None] = None
-    discount_denominator: bool = False
+    __slots__ = ("mode", "annual_rate", "discount_denominator")
 
-    def __post_init__(self):
-        if self.mode not in ("none", "wacc"):
+    def __init__(self, mode: Literal["none", "wacc"] = "none",
+                 annual_rate: Union[Exact, None] = None, discount_denominator: bool = False):
+        if mode not in ("none", "wacc"):
             raise FieldError("mode", 'must be "none" or "wacc"')
-        if not isinstance(self.discount_denominator, bool):
+        if not isinstance(discount_denominator, bool):
             raise FieldError("discount_denominator", "must be a boolean")
-        if self.annual_rate is None:
-            if self.mode == "wacc":
-                raise FieldError("annual_rate", "wacc mode requires an annual_rate")
-            return
-        try:
-            # whole-year factors are exact powers of the rate
-            rate = bounded_places(self.annual_rate)
-        except ValueError as exc:
-            raise FieldError("annual_rate", str(exc)) from None
-        object.__setattr__(self, "annual_rate", rate)
-        if rate < 0:
-            raise ValueError("annual_rate must be non-negative")
-        if rate >= 1:
-            raise ValueError("an annual rate of 100% or more is rejected")
+        if annual_rate is not None:
+            try:
+                # whole-year factors are exact powers of the rate
+                annual_rate = bounded_places(annual_rate)
+            except ValueError as exc:
+                raise FieldError("annual_rate", str(exc)) from None
+            if annual_rate < 0:
+                raise ValueError("annual_rate must be non-negative")
+            if annual_rate >= 1:
+                raise ValueError("an annual rate of 100% or more is rejected")
+        elif mode == "wacc":
+            raise FieldError("annual_rate", "wacc mode requires an annual_rate")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "annual_rate", annual_rate)
+        object.__setattr__(self, "discount_denominator", discount_denominator)
 
     @property
     def is_discounting(self) -> bool:
@@ -338,8 +336,7 @@ class DiscountPolicy:
 NO_DISCOUNT = DiscountPolicy()
 
 
-@dataclass(frozen=True, slots=True)
-class CostScenario:
+class CostScenario(Value):
     """A named deployment alternative.
 
     Combines CAPEX items, an OPEX model, a per-period volume projection, the
@@ -348,25 +345,27 @@ class CostScenario:
     levelized cost is undefined and rejected at computation time.
     """
 
-    name: str
-    capex: tuple
-    opex: OpexModel
-    volume: VolumeProjection
-    horizon: Horizon
-    discount: DiscountPolicy = NO_DISCOUNT
+    __slots__ = ("name", "capex", "opex", "volume", "horizon", "discount")
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name: str, capex: tuple, opex: OpexModel, volume: VolumeProjection,
+                 horizon: Horizon, discount: DiscountPolicy = NO_DISCOUNT):
+        if not isinstance(name, str) or not name:
             raise FieldError("name", "required non-empty string")
-        object.__setattr__(self, "capex", tuple(self.capex))
-        if self.discount.is_discounting and self.horizon.months > MAX_DISCOUNTED_MONTHS:
+        capex = tuple(capex)
+        if discount.is_discounting and horizon.months > MAX_DISCOUNTED_MONTHS:
             raise FieldError("horizon", f"a discounted horizon may cover at most "
                                         f"{MAX_DISCOUNTED_MONTHS:,} months")
-        if len(self.volume.per_period) != self.horizon.periods:
+        if len(volume.per_period) != horizon.periods:
             raise ValueError(
-                f"projection covers {len(self.volume.per_period)} periods "
-                f"but the horizon has {self.horizon.periods}"
+                f"projection covers {len(volume.per_period)} periods "
+                f"but the horizon has {horizon.periods}"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "capex", capex)
+        object.__setattr__(self, "opex", opex)
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "discount", discount)
 
     @property
     def capex_total(self) -> Money:
@@ -374,8 +373,7 @@ class CostScenario:
         return Money(sum(item.amount.amount for item in self.capex))
 
 
-@dataclass(frozen=True, slots=True)
-class LcoaiResult:
+class LcoaiResult(Value):
     """The levelized cost together with its full decomposition.
 
     ``per_inference`` equals (total_capex_charged + total_opex) divided by
@@ -390,15 +388,18 @@ class LcoaiResult:
     at that span).
     """
 
-    scenario_name: str
-    total_capex_charged: Money
-    total_opex: Money
-    total_inferences: int
-    per_inference: PerInferenceRate
-    per_thousand: Money
-    discounted: bool
-    exact_per_inference: Fraction = field(repr=False)
-    short_horizon_discounted: bool = False
+    __slots__ = ("scenario_name", "total_capex_charged", "total_opex", "total_inferences",
+                 "per_inference", "per_thousand", "discounted", "exact_per_inference",
+                 "short_horizon_discounted")
+    _hidden = ("exact_per_inference",)
+
+    def __init__(self, scenario_name: str, total_capex_charged: Money, total_opex: Money,
+                 total_inferences: int, per_inference: PerInferenceRate, per_thousand: Money,
+                 discounted: bool, exact_per_inference: Fraction,
+                 short_horizon_discounted: bool = False):
+        self._set_fields(scenario_name, total_capex_charged, total_opex, total_inferences,
+                         per_inference, per_thousand, discounted, exact_per_inference,
+                         short_horizon_discounted)
 
 
 def _uniform_stream(total_micro: int, periods: int) -> list:

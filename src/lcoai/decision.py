@@ -4,10 +4,10 @@ savings against a non-AI baseline, and fine-tuning viability thresholds."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from ._value import Value
 from .cost_core import (
     CompiledScenario,
     CostScenario,
@@ -17,20 +17,23 @@ from .cost_core import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonRow:
+class ComparisonRow(Value):
     """One ranked scenario with the columns of the comparison table."""
 
-    scenario_name: str
-    capex_total: Money
-    opex_rate: PerInferenceRate
-    volume: int
-    opex_total: Money
-    per_thousand: Money
+    __slots__ = ("scenario_name", "capex_total", "opex_rate", "volume", "opex_total",
+                 "per_thousand")
+
+    def __init__(self, scenario_name: str, capex_total: Money, opex_rate: PerInferenceRate,
+                 volume: int, opex_total: Money, per_thousand: Money):
+        object.__setattr__(self, "scenario_name", scenario_name)
+        object.__setattr__(self, "capex_total", capex_total)
+        object.__setattr__(self, "opex_rate", opex_rate)
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "opex_total", opex_total)
+        object.__setattr__(self, "per_thousand", per_thousand)
 
 
-@dataclass(frozen=True, slots=True)
-class BaselineComparison:
+class BaselineComparison(Value):
     """Savings of an AI deployment against a non-AI cost baseline, per 1,000 units.
 
     ``savings_per_thousand`` is exactly baseline minus LCOAI and may be
@@ -38,14 +41,16 @@ class BaselineComparison:
     baseline is zero.
     """
 
-    baseline_cost_per_thousand: Money
-    lcoai_per_thousand: Money
-    savings_per_thousand: Money
-    savings_ratio: Optional[Fraction]
+    __slots__ = ("baseline_cost_per_thousand", "lcoai_per_thousand", "savings_per_thousand",
+                 "savings_ratio")
+
+    def __init__(self, baseline_cost_per_thousand: Money, lcoai_per_thousand: Money,
+                 savings_per_thousand: Money, savings_ratio: Optional[Fraction]):
+        self._set_fields(baseline_cost_per_thousand, lcoai_per_thousand, savings_per_thousand,
+                         savings_ratio)
 
 
-@dataclass(frozen=True, slots=True)
-class FineTuneDecision:
+class FineTuneDecision(Value):
     """Volume at which paying ``tuning_capex`` for the lower rate pays off.
 
     ``threshold_volume`` is the smallest integer volume at which the tuned
@@ -53,10 +58,11 @@ class FineTuneDecision:
     tuned rate is not an improvement.
     """
 
-    base_rate: PerInferenceRate
-    tuned_rate: PerInferenceRate
-    tuning_capex: Money
-    threshold_volume: Optional[int]
+    __slots__ = ("base_rate", "tuned_rate", "tuning_capex", "threshold_volume")
+
+    def __init__(self, base_rate: PerInferenceRate, tuned_rate: PerInferenceRate,
+                 tuning_capex: Money, threshold_volume: Optional[int]):
+        self._set_fields(base_rate, tuned_rate, tuning_capex, threshold_volume)
 
 
 def compare(scenarios: Iterable[CostScenario]) -> list:

@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from datetime import MAXYEAR, datetime, timezone
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
+from ._value import Value
 from .errors import LogParseError, decode_error_message, decoder_limit_message
 
 if TYPE_CHECKING:  # an annotation only, so parsing a log never loads the cost kernel
@@ -44,33 +44,27 @@ class RecordStatus(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True, slots=True)
-class InferenceRecord:
+class InferenceRecord(Value):
     """One telemetry entry: when it happened, what made it, how it ended."""
 
-    timestamp: datetime
-    kind: RecordKind
-    status: RecordStatus
+    __slots__ = ("timestamp", "kind", "status")
 
-    def __post_init__(self):
-        if self.timestamp.tzinfo is None:
+    def __init__(self, timestamp: datetime, kind: RecordKind, status: RecordStatus):
+        if timestamp.tzinfo is None:
             raise ValueError("record timestamps must be timezone-aware")
+        self._set_fields(timestamp, kind, status)
 
 
-@dataclass(frozen=True, slots=True)
-class ParseResult:
+class ParseResult(Value):
     """Parsed records plus, in lenient mode, the lines that were skipped."""
 
-    records: tuple
-    skipped: tuple = ()
+    __slots__ = ("records", "skipped")
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "skipped", tuple(self.skipped))
+    def __init__(self, records: tuple, skipped: tuple = ()):
+        self._set_fields(tuple(records), tuple(skipped))
 
 
-@dataclass(frozen=True, slots=True)
-class VolumeCount:
+class VolumeCount(Value):
     """Classification tallies for a batch of records.
 
     ``valid``, ``excluded_nonproductive``, ``excluded_failed``, and
@@ -79,11 +73,13 @@ class VolumeCount:
     VolumeProjection entries) to valid counts; bucket totals equal ``valid``.
     """
 
-    valid: int
-    excluded_nonproductive: int
-    excluded_failed: int
-    out_of_range: int
-    period_buckets: dict = field(default_factory=dict)
+    __slots__ = ("valid", "excluded_nonproductive", "excluded_failed", "out_of_range",
+                 "period_buckets")
+
+    def __init__(self, valid: int, excluded_nonproductive: int, excluded_failed: int,
+                 out_of_range: int, period_buckets: Optional[dict] = None):
+        self._set_fields(valid, excluded_nonproductive, excluded_failed, out_of_range,
+                         {} if period_buckets is None else period_buckets)
 
     @property
     def total(self) -> int:
@@ -132,8 +128,8 @@ _scan_json = json.JSONDecoder().scan_once
 _KINDS = {kind.value: kind for kind in RecordKind}
 _STATUSES = {status.value: status for status in RecordStatus}
 # _parse_line fills a record's slots directly: its fields are already checked
-# (parse_rfc3339 returns aware datetimes), and the frozen dataclass __init__
-# with __post_init__ costs about a fifth of parsing a line
+# (parse_rfc3339 returns aware datetimes), and calling InferenceRecord, whose
+# __init__ checks the timestamp, costs about a fifth of parsing a line
 _new_record = object.__new__
 _set_timestamp = InferenceRecord.timestamp.__set__
 _set_kind = InferenceRecord.kind.__set__

@@ -18,16 +18,18 @@ derived scenario. The base is never mutated, and points are independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import lt
 from typing import Iterable, Iterator, Literal, Optional
 
+from ._value import Value
 from .cost_core import (
+    CapexItem,
     CompiledScenario,
     CostScenario,
     Exact,
     Money,
+    OpexModel,
     PerInferenceRate,
     VolumeProjection,
     _is_int,
@@ -49,8 +51,7 @@ DEFAULT_SEARCH_MAX = 10**9
 MAX_SEARCH_MAX = 10**18
 
 
-@dataclass(frozen=True, slots=True)
-class SweepSpec:
+class SweepSpec(Value):
     """One varied parameter and the ordered grid of values to evaluate.
 
     Volume points are inference counts; a zero point is allowed and renders
@@ -60,48 +61,43 @@ class SweepSpec:
     CAPEX item. Points must be strictly increasing.
     """
 
-    parameter: SweepParameter
-    points: tuple
+    __slots__ = ("parameter", "points")
 
-    def __post_init__(self):
-        points = tuple(self.points)
+    def __init__(self, parameter: SweepParameter, points: tuple):
+        points = tuple(points)
         if not points:
             raise ValueError("sweep needs at least one point")
-        if self.parameter == "volume":
+        if parameter == "volume":
             if not all(map(_is_int, points)) or min(points) < 0:
                 raise ValueError("volume points must be non-negative integers")
-        elif self.parameter == "opex_rate":
+        elif parameter == "opex_rate":
             if not all(isinstance(p, PerInferenceRate) for p in points):
                 raise ValueError("opex points must be PerInferenceRate values")
-        elif self.parameter == "capex_multiplier":
+        elif parameter == "capex_multiplier":
             points = tuple(p if isinstance(p, Fraction) else Fraction(*exact_ratio(p)) for p in points)
             if min(points) <= 0:
                 raise ValueError("capex multipliers must be positive")
         else:
-            raise ValueError(f"unknown sweep parameter {self.parameter!r}")
+            raise ValueError(f"unknown sweep parameter {parameter!r}")
         # ints, PerInferenceRate (ordered by its rate) or Fractions
         if not all(map(lt, points, points[1:])):
             raise ValueError("sweep points must be strictly increasing")
-        object.__setattr__(self, "points", points)
+        self._set_fields(parameter, points)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepResult:
+class SweepResult(Value):
     """Ordered (parameter value, cost per 1,000) series for one scenario.
 
     A ``None`` cost marks a point where the metric is undefined (zero volume).
     """
 
-    scenario_name: str
-    parameter: SweepParameter
-    series: tuple
+    __slots__ = ("scenario_name", "parameter", "series")
 
-    def __post_init__(self):
-        object.__setattr__(self, "series", tuple(map(tuple, self.series)))
+    def __init__(self, scenario_name: str, parameter: SweepParameter, series: tuple):
+        self._set_fields(scenario_name, parameter, tuple(map(tuple, series)))
 
 
-@dataclass(frozen=True, slots=True)
-class BreakEvenResult:
+class BreakEvenResult(Value):
     """Where, if anywhere, two cost curves cross as volume grows.
 
     ``crossover_volume`` is the smallest integer volume at which the
@@ -112,21 +108,22 @@ class BreakEvenResult:
     searched range.
     """
 
-    scenario_a: str
-    scenario_b: str
-    crossover_volume: Optional[int]
-    cheaper_below: str
-    cheaper_above: str
-    search_exhausted: bool = False
+    __slots__ = ("scenario_a", "scenario_b", "crossover_volume", "cheaper_below",
+                 "cheaper_above", "search_exhausted")
+
+    def __init__(self, scenario_a: str, scenario_b: str, crossover_volume: Optional[int],
+                 cheaper_below: str, cheaper_above: str, search_exhausted: bool = False):
+        self._set_fields(scenario_a, scenario_b, crossover_volume, cheaper_below, cheaper_above,
+                         search_exhausted)
 
 
-@dataclass(frozen=True, slots=True)
-class TornadoEntry:
+class TornadoEntry(Value):
     """Cost per 1,000 at the low and high ends of one parameter's swing."""
 
-    parameter: str
-    low: Money
-    high: Money
+    __slots__ = ("parameter", "low", "high")
+
+    def __init__(self, parameter: str, low: Money, high: Money):
+        self._set_fields(parameter, low, high)
 
     @property
     def spread(self) -> Money:
@@ -146,12 +143,16 @@ def with_total_volume(scenario: CostScenario, total: int) -> CostScenario:
     """
     if total < 0:
         raise ValueError("volume must be non-negative")
-    return replace(scenario, volume=VolumeProjection(_rescaled(scenario.volume.per_period, total)))
+    volume = VolumeProjection(_rescaled(scenario.volume.per_period, total))
+    return CostScenario(scenario.name, scenario.capex, scenario.opex, volume,
+                        scenario.horizon, scenario.discount)
 
 
 def with_opex_rate(scenario: CostScenario, rate: PerInferenceRate) -> CostScenario:
     """A copy with the per-inference OPEX rate replaced (fixed charge kept)."""
-    return replace(scenario, opex=replace(scenario.opex, per_inference=rate))
+    opex = OpexModel(rate, scenario.opex.fixed_per_period)
+    return CostScenario(scenario.name, scenario.capex, opex, scenario.volume,
+                        scenario.horizon, scenario.discount)
 
 
 def with_capex_scaled(scenario: CostScenario, k: Exact) -> CostScenario:
@@ -160,8 +161,10 @@ def with_capex_scaled(scenario: CostScenario, k: Exact) -> CostScenario:
     k = Fraction(*exact_ratio(k))
     if k <= 0:
         raise ValueError("capex multiplier must be positive")
-    items = tuple(replace(item, amount=item.amount.scaled(k)) for item in scenario.capex)
-    return replace(scenario, capex=items)
+    items = tuple(CapexItem(item.label, item.amount.scaled(k), item.asset_life_months)
+                  for item in scenario.capex)
+    return CostScenario(scenario.name, items, scenario.opex, scenario.volume,
+                        scenario.horizon, scenario.discount)
 
 
 def _series(kernel: CompiledScenario, parameter: str, points: Iterable[int],
@@ -240,15 +243,10 @@ def break_even(a: CostScenario, b: CostScenario,
     give it, and the crossover is the first integer past its root. Other
     pairs bisect monotonically over [1, search_max], and confirm the
     crossover with :func:`compute_lcoai` at V-1 and V. ``search_max`` must
-    lie in [1, :data:`MAX_SEARCH_MAX`]. Scenarios with differing horizons
-    are not comparable.
+    lie in [1, :data:`MAX_SEARCH_MAX`] (:func:`checked_search_max`).
+    Scenarios with differing horizons are not comparable.
     """
-    if not _is_int(search_max):
-        raise TypeError("search_max must be an int")
-    if search_max <= 0:
-        raise ValueError("search_max must be positive")
-    if search_max > MAX_SEARCH_MAX:
-        raise ValueError(f"search_max must be at most {MAX_SEARCH_MAX:,}")
+    checked_search_max(search_max)
     if a.horizon != b.horizon:
         raise IncompatibleScenariosError(
             f"horizons differ: {a.horizon} vs {b.horizon}")
@@ -291,6 +289,17 @@ def break_even(a: CostScenario, b: CostScenario,
         return _confirmed(BreakEvenResult(a.name, b.name, volume, lo.scenario.name,
                                           hi.scenario.name), hi.scenario, lo.scenario)
     return BreakEvenResult(a.name, b.name, volume, lo.scenario.name, hi.scenario.name)
+
+
+def checked_search_max(search_max: int) -> int:
+    """``search_max``, checked to be an int in [1, :data:`MAX_SEARCH_MAX`]."""
+    if not _is_int(search_max):
+        raise TypeError("search_max must be an int")
+    if search_max <= 0:
+        raise ValueError("search_max must be positive")
+    if search_max > MAX_SEARCH_MAX:
+        raise ValueError(f"search_max must be at most {MAX_SEARCH_MAX:,}")
+    return search_max
 
 
 def _limit(kernel: CompiledScenario) -> Fraction:

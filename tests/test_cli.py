@@ -707,6 +707,23 @@ class TestCliCommands:
         assert (out, err) == ("", f"error: {words}\n")
         assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize("argv, words", [
+        (["ingest", "FILE", "--periods", "0"], "horizon needs a positive period count"),
+        (["ingest", "FILE", "--period-months", "0"],
+         "period length must be a positive month count"),
+        (["ingest", "FILE", "--start", "yesterday"], "not an RFC 3339 date-time "
+                                                     "(YYYY-MM-DDTHH:MM:SS[.frac] then Z, "
+                                                     "+HH:MM or -HH:MM)"),
+        (["breakeven", "FILE", "a", "b", "--search-max", "0"], "search_max must be positive"),
+        (["breakeven", "FILE", "a", "b", "--search-max", str(MAX_SEARCH_MAX + 1)],
+         f"search_max must be at most {MAX_SEARCH_MAX:,}"),
+    ], ids=["periods 0", "period-months 0", "start", "search-max 0", "search-max over"])
+    def test_an_option_value_is_checked_before_any_file(self, argv, words, tmp_path, capsys):
+        # the file does not exist: the value out of range is reported first
+        argv = [str(tmp_path / "missing") if arg == "FILE" else arg for arg in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {words}\n")
+
     def test_integer_options_read_decimal_text(self, capsys):
         table = str(FIXTURES / "table1.json")
         log = str(FIXTURES / "telemetry_sample.jsonl")

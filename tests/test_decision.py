@@ -1,6 +1,5 @@
 """Rankings, baseline savings, and fine-tuning thresholds."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -148,9 +147,10 @@ class TestCompareAgainstComputeLcoai:
             # within the horizon (its share rounds to 0 micro-dollars)
             extra = data.draw(st.integers(min_value=1, max_value=1_000))
             idle = CapexItem("idle", Money(extra), 2 * extra * base.horizon.months + 1)
-            scenarios += [replace(base, name=f"{i}-c"),
-                          replace(base, name=f"{i}-b"),
-                          replace(base, name=f"{i}-a", capex=base.capex + (idle,))]
+            fields = (base.opex, base.volume, base.horizon, base.discount)
+            scenarios += [CostScenario(f"{i}-c", base.capex, *fields),
+                          CostScenario(f"{i}-b", base.capex, *fields),
+                          CostScenario(f"{i}-a", base.capex + (idle,), *fields)]
         scenarios = data.draw(st.permutations(scenarios))
         expected = sorted(map(_row_from_compute_lcoai, scenarios),
                           key=lambda r: (r.per_thousand, r.capex_total, r.scenario_name))

@@ -6,7 +6,6 @@ inference total. Every analysis must give exactly what it gives on scenarios
 derived with the ``with_*`` functions.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -143,6 +142,12 @@ def scenarios(draw, horizon=None, name="s"):
         VolumeProjection(volumes), horizon, DiscountPolicy(mode, rate, draw(st.booleans())))
 
 
+def _capital_free(s: CostScenario, rate: int) -> CostScenario:
+    """``s`` with no CAPEX and the per-inference rate ``rate``, fixed OPEX kept."""
+    return CostScenario(s.name, (), OpexModel(PerInferenceRate(rate), s.opex.fixed_per_period),
+                        s.volume, s.horizon, s.discount)
+
+
 _multipliers = st.lists(st.fractions(min_value=Fraction(1, 20), max_value=5, max_denominator=40),
                         min_size=1, max_size=4, unique=True).map(sorted)
 
@@ -243,8 +248,7 @@ class TestAgainstReference:
         a = data.draw(scenarios(horizon, "a"))
         b = data.draw(scenarios(horizon, "b"))
         if data.draw(st.booleans()):  # no capital and a dearer rate: the curves may cross
-            rate = a.opex.per_inference.rate + data.draw(st.integers(1, 10**5))
-            b = replace(b, capex=(), opex=OpexModel(PerInferenceRate(rate), b.opex.fixed_per_period))
+            b = _capital_free(b, a.opex.per_inference.rate + data.draw(st.integers(1, 10**5)))
         assert break_even(a, b, search_max) == reference_break_even(a, b, search_max)
 
     @pytest.mark.parametrize("regime", ["undiscounted", "one-period"])
@@ -258,10 +262,10 @@ class TestAgainstReference:
         horizon = Horizon(data.draw(st.integers(1, 40)) if regime == "undiscounted" else 1, months)
         a, b = (data.draw(scenarios(horizon, name)) for name in "ab")
         if regime == "undiscounted":
-            a, b = (replace(s, discount=NO_DISCOUNT) for s in (a, b))
+            a, b = (CostScenario(s.name, s.capex, s.opex, s.volume, s.horizon, NO_DISCOUNT)
+                    for s in (a, b))
         if data.draw(st.booleans()):  # no capital and a dearer rate: the curves may cross
-            rate = a.opex.per_inference.rate + data.draw(st.integers(1, 10**5))
-            b = replace(b, capex=(), opex=OpexModel(PerInferenceRate(rate), b.opex.fixed_per_period))
+            b = _capital_free(b, a.opex.per_inference.rate + data.draw(st.integers(1, 10**5)))
         assert break_even(a, b, search_max) == reference_break_even(a, b, search_max)
 
     def test_tie_is_not_yet_a_crossover(self):

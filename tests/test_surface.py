@@ -88,16 +88,16 @@ def test_import_lcoai_loads_no_submodule():
 def test_loading_scenarios_loads_the_schema_and_the_kernel_only():
     loaded = _loaded_after(
         f"import lcoai\nlcoai.load_scenarios({str(FIXTURES / 'table1.json')!r})")
-    assert _package(loaded) == {"lcoai.schema", "lcoai.cost_core", "lcoai.errors"}
-    assert not loaded & {"argparse", "csv", "datetime"}
+    assert _package(loaded) == {"lcoai.schema", "lcoai.cost_core", "lcoai.errors", "lcoai._value"}
+    assert not loaded & {"argparse", "csv", "datetime", "dataclasses", "inspect"}
 
 
 def test_parsing_a_log_loads_ingest_only():
     loaded = _loaded_after(
         f"import lcoai\nwith open({str(FIXTURES / 'telemetry_sample.jsonl')!r}, 'rb') as fh:\n"
         "    lcoai.parse_log(fh)")
-    assert _package(loaded) == {"lcoai.ingest", "lcoai.errors"}
-    assert not loaded & {"decimal", "fractions"}
+    assert _package(loaded) == {"lcoai.ingest", "lcoai.errors", "lcoai._value"}
+    assert not loaded & {"decimal", "fractions", "dataclasses", "inspect"}
 
 
 def test_the_cli_module_loads_every_traced_module():
@@ -108,4 +108,6 @@ def test_the_cli_module_loads_every_traced_module():
                    and [target.id for target in node.targets] == ["BOUNDARIES"])
     traced = {f"lcoai.{module}" for module in ast.literal_eval(boundaries)}
     assert len(traced) == 5
-    assert traced <= _loaded_after("import lcoai.cli_report")
+    loaded = _loaded_after("import lcoai.cli_report")
+    assert traced <= loaded
+    assert not loaded & {"dataclasses", "inspect"}

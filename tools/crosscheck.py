@@ -7,9 +7,10 @@ and compares each case's stdout, stderr and exit code byte for byte with the
 first interpreter's. Every case runs from the repository root with
 ``PYTHONPATH=src`` and ``python -W error``: CLI cases as ``python -m lcoai``,
 the demos as scripts, and as ``-c`` code the README's library quick start
-and two scripts that print the ``lcoai`` modules that ``load_scenarios`` and
-``parse_log`` load. A warning that one interpreter raises (a deprecation,
-say) is then an error there, and so a difference.
+and three scripts that print the ``lcoai`` modules that ``load_scenarios``,
+``parse_log`` and ``import lcoai.cli_report`` load, and ``dataclasses`` and
+``inspect`` if either is loaded. A warning that one interpreter raises (a
+deprecation, say) is then an error there, and so a difference.
 The ``table`` cases run ``fixtures/table1.json`` with its scenarios in every
 order under three hash seeds, and must also print the same as each other.
 
@@ -43,7 +44,8 @@ _SCENARIO = {
     "discount": {"mode": "none"},
 }
 
-_PRINT_LOADED = "import sys\nprint(*sorted(m for m in sys.modules if m.startswith('lcoai.')))\n"
+_PRINT_LOADED = ("import sys\nprint(*sorted(m for m in sys.modules if m.startswith('lcoai.')"
+                 " or m in ('dataclasses', 'inspect')))\n")
 
 _INFERENCE = '{"ts": "2025-01-01T00:00:01Z", "kind": "inference", "status": "ok"}\n'
 
@@ -111,6 +113,7 @@ def corpus(tmp: Path) -> list:
         ("modules loaded by parse_log",
          ["-c", f"import lcoai\nwith open({TELEMETRY!r}, 'rb') as fh:\n"
                 f"    lcoai.parse_log(fh)\n{_PRINT_LOADED}"]),
+        ("modules loaded by the CLI module", ["-c", f"import lcoai.cli_report\n{_PRINT_LOADED}"]),
     ]
     cases += [(f"demo {demo.stem}", [str(demo.relative_to(ROOT))])
               for demo in sorted((ROOT / "demos").glob("*.py"))]

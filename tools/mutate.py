@@ -49,6 +49,7 @@ _SCHEMA = "src/lcoai/schema.py"
 _INGEST = "src/lcoai/ingest.py"
 _ERRORS = "src/lcoai/errors.py"
 _INIT = "src/lcoai/__init__.py"
+_VALUE = "src/lcoai/_value.py"
 _BREAK_EVEN = ("tests/test_sensitivity.py", "tests/test_kernel.py")
 _ROUNDING = ("tests/test_money.py", "tests/test_cost_core.py")
 _LIMITS = ("tests/test_limits.py",)
@@ -119,8 +120,8 @@ MUTANTS = (
            _LIMITS + ("tests/test_sensitivity.py",), "a search bound of 0 is refused"),
     Mutant(_SENS, "if search_max > MAX_SEARCH_MAX:", "if search_max >= MAX_SEARCH_MAX:",
            _LIMITS + ("tests/test_sensitivity.py",), "a search bound of exactly the maximum is read"),
-    Mutant(_CORE, "self.horizon.months > MAX_DISCOUNTED_MONTHS",
-           "self.horizon.months >= MAX_DISCOUNTED_MONTHS", _LIMITS + ("tests/test_cost_core.py",),
+    Mutant(_CORE, "horizon.months > MAX_DISCOUNTED_MONTHS",
+           "horizon.months >= MAX_DISCOUNTED_MONTHS", _LIMITS + ("tests/test_cost_core.py",),
            "a discounted horizon of exactly the cap is computed"),
     Mutant(_SCHEMA, "except (RecursionError, ValueError) as exc:  # too deep, or too many digits",
            "except ValueError as exc:", _LIMITS,
@@ -153,6 +154,13 @@ MUTANTS = (
     # the one whole-number reader of the command line
     Mutant(_CLI, "if denominator != 1:", "if denominator == 0:", ("tests/test_cli.py",),
            "a volume grid value of 1.5 is refused"),
+    # the value types
+    Mutant(_VALUE, "if other.__class__ is not self.__class__:", "if not isinstance(other, Value):",
+           ("tests/test_values.py",), "values of different classes differ on equal fields"),
+    Mutant(_CORE, '    _hidden = ("exact_per_inference",)\n', "    _hidden = ()\n",
+           ("tests/test_cost_core.py::TestComputeLcoai::"
+            "test_repr_holds_for_an_exact_value_too_long_to_print",),
+           "the repr of a result leaves out its exact value, which may be too long to print"),
     # the one integer rule
     Mutant(_CORE, "isinstance(value, int) and not isinstance(value, bool)",
            "isinstance(value, int)", ("tests/test_money.py", "tests/test_cost_core.py"),
