@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import math
 import os
@@ -470,6 +471,27 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one ``lcoai`` command and return its exit code.
+
+    The cyclic garbage collector is paused for the whole call (parsing, the
+    command and the final flush), and a ``finally`` sets it back as the
+    caller had it: on again if it was on, never on if the caller had turned
+    it off. No command leaves cyclic garbage, so the pause frees nothing
+    later than a collection would. It saves the collector's repeated passes
+    over the objects a command keeps alive: a ``table`` of 2,000 scenarios
+    ran some 70 collections without it. Library functions leave the
+    collector to their caller.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = _shared_parser()
     try:
         try:

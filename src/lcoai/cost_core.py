@@ -178,7 +178,7 @@ class Money(OrderedValue):
     def __init__(self, amount: int):
         if not _is_int(amount):
             raise TypeError("Money holds an int count of micro-dollars")
-        object.__setattr__(self, "amount", amount)
+        self._setters[0](self, amount)
 
     @classmethod
     def from_usd(cls, usd: Exact) -> "Money":
@@ -209,7 +209,7 @@ class PerInferenceRate(OrderedValue):
             raise TypeError("PerInferenceRate holds an int count of micro-dollars")
         if rate < 0:
             raise ValueError("per-inference rate must be non-negative")
-        object.__setattr__(self, "rate", rate)
+        self._setters[0](self, rate)
 
     @classmethod
     def from_usd(cls, usd: Exact) -> "PerInferenceRate":
@@ -238,9 +238,10 @@ class CapexItem(Value):
             raise FieldError("asset_life_months", 'must be a positive integer or "horizon"')
         if amount.amount < 0:
             raise ValueError("CAPEX amount must be non-negative")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "amount", amount)
-        object.__setattr__(self, "asset_life_months", life)
+        set_label, set_amount, set_life = self._setters
+        set_label(self, label)
+        set_amount(self, amount)
+        set_life(self, life)
 
 
 class OpexModel(Value):
@@ -251,8 +252,9 @@ class OpexModel(Value):
     def __init__(self, per_inference: PerInferenceRate, fixed_per_period: Money = ZERO):
         if fixed_per_period.amount < 0:
             raise ValueError("fixed_per_period must be non-negative")
-        object.__setattr__(self, "per_inference", per_inference)
-        object.__setattr__(self, "fixed_per_period", fixed_per_period)
+        set_per_inference, set_fixed = self._setters
+        set_per_inference(self, per_inference)
+        set_fixed(self, fixed_per_period)
 
 
 class VolumeProjection(Value):
@@ -267,7 +269,7 @@ class VolumeProjection(Value):
         for k, v in enumerate(entries):
             if not _is_int(v) or v < 0:
                 raise FieldError(f"per_period[{k}]", "must be a non-negative integer")
-        object.__setattr__(self, "per_period", entries)
+        self._setters[0](self, entries)
 
     @property
     def total(self) -> int:
@@ -284,8 +286,9 @@ class Horizon(Value):
             raise InvalidHorizonError("horizon needs a positive period count")
         if not _is_int(period_length_months) or period_length_months <= 0:
             raise InvalidHorizonError("period length must be a positive month count")
-        object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "period_length_months", period_length_months)
+        set_periods, set_period_length = self._setters
+        set_periods(self, periods)
+        set_period_length(self, period_length_months)
 
     @property
     def months(self) -> int:
@@ -323,9 +326,10 @@ class DiscountPolicy(Value):
                 raise ValueError("an annual rate of 100% or more is rejected")
         elif mode == "wacc":
             raise FieldError("annual_rate", "wacc mode requires an annual_rate")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "annual_rate", annual_rate)
-        object.__setattr__(self, "discount_denominator", discount_denominator)
+        set_mode, set_rate, set_discount_denominator = self._setters
+        set_mode(self, mode)
+        set_rate(self, annual_rate)
+        set_discount_denominator(self, discount_denominator)
 
     @property
     def is_discounting(self) -> bool:
@@ -360,12 +364,13 @@ class CostScenario(Value):
                 f"projection covers {len(volume.per_period)} periods "
                 f"but the horizon has {horizon.periods}"
             )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "capex", capex)
-        object.__setattr__(self, "opex", opex)
-        object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "discount", discount)
+        set_name, set_capex, set_opex, set_volume, set_horizon, set_discount = self._setters
+        set_name(self, name)
+        set_capex(self, capex)
+        set_opex(self, opex)
+        set_volume(self, volume)
+        set_horizon(self, horizon)
+        set_discount(self, discount)
 
     @property
     def capex_total(self) -> Money:

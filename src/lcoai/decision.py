@@ -25,12 +25,14 @@ class ComparisonRow(Value):
 
     def __init__(self, scenario_name: str, capex_total: Money, opex_rate: PerInferenceRate,
                  volume: int, opex_total: Money, per_thousand: Money):
-        object.__setattr__(self, "scenario_name", scenario_name)
-        object.__setattr__(self, "capex_total", capex_total)
-        object.__setattr__(self, "opex_rate", opex_rate)
-        object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "opex_total", opex_total)
-        object.__setattr__(self, "per_thousand", per_thousand)
+        (set_name, set_capex_total, set_opex_rate, set_volume, set_opex_total,
+         set_per_thousand) = self._setters
+        set_name(self, scenario_name)
+        set_capex_total(self, capex_total)
+        set_opex_rate(self, opex_rate)
+        set_volume(self, volume)
+        set_opex_total(self, opex_total)
+        set_per_thousand(self, per_thousand)
 
 
 class BaselineComparison(Value):

@@ -131,9 +131,7 @@ _STATUSES = {status.value: status for status in RecordStatus}
 # (parse_rfc3339 returns aware datetimes), and calling InferenceRecord, whose
 # __init__ checks the timestamp, costs about a fifth of parsing a line
 _new_record = object.__new__
-_set_timestamp = InferenceRecord.timestamp.__set__
-_set_kind = InferenceRecord.kind.__set__
-_set_status = InferenceRecord.status.__set__
+_set_timestamp, _set_kind, _set_status = InferenceRecord._setters
 
 
 def _parse_line(raw: Union[bytes, str], line_number: int) -> Optional[InferenceRecord]:

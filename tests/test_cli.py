@@ -1,6 +1,7 @@
 """Scenario files, table rendering, and the command-line surface."""
 
 import errno
+import gc
 import io
 import itertools
 import json
@@ -30,7 +31,13 @@ from lcoai import (
 )
 from lcoai import cli_report
 from lcoai.cli_report import MAX_SWEEP_POINTS, _sweep_grid, main
-from lcoai.cost_core import MAX_DECIMAL_EXPONENT, MAX_DISCOUNTED_MONTHS, decimal_text, exact_ratio
+from lcoai.cost_core import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_DISCOUNTED_MONTHS,
+    CompiledScenario,
+    decimal_text,
+    exact_ratio,
+)
 from lcoai.errors import decode_error_message
 from lcoai.sensitivity import MAX_SEARCH_MAX, SweepSpec, sweep
 
@@ -966,6 +973,149 @@ class TestCliCommands:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+_TABLE1 = str(FIXTURES / "table1.json")
+_LLAMA, _GPT = "LLaMA-2-13B self-hosted", "GPT-4.1 API"
+
+
+@pytest.fixture
+def gc_inputs(tmp_path):
+    """The fixtures, plus a zero-volume file, a malformed file, a file with a
+    bad field, a log with a malformed line and a discounted pair that
+    break-even bisects."""
+    paths = {"table": _TABLE1, "log": str(FIXTURES / "telemetry_sample.jsonl")}
+    files = {
+        "zero": json.dumps({"version": 1, "scenarios": [
+            {"name": "idle", "opex": {"per_inference_usd": "0.01"},
+             "volume": {"per_period": [0]}}]}),
+        "malformed": "{",
+        "bad_field": json.dumps({"version": 1, "scenarios": [
+            dict(_FULL_SCENARIO, opex={"per_inference_usd": "0.0000001"})]}),
+        "bad_log": (FIXTURES / "telemetry_sample.jsonl").read_text() + "not json\n",
+        "pair": json.dumps({"version": 1, "scenarios": [
+            _FULL_SCENARIO, dict(_FULL_SCENARIO, name="api", capex=[],
+                                 opex={"per_inference_usd": "0.03"})]}),
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.fixture
+def paused_gc():
+    """The cyclic collector off, with nothing left for it to find; the
+    caller's setting comes back afterwards."""
+    cli_report._shared_parser()  # building the parser leaves argparse's formatter cycles
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class TestCyclicGc:
+    """``main`` pauses the cyclic collector for a command. That is safe only
+    because no command leaves cyclic garbage, and it must give the caller its
+    setting back on every way out."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["table", "{table}"], 0),
+        (["--format", "csv", "table", "{table}"], 0),
+        (["compute", "{table}", _GPT], 0),
+        (["baseline", "{table}", _LLAMA, "--baseline", "300"], 0),
+        (["finetune", "--base", "0.010", "--tuned", "0.005", "--capex", "50000"], 0),
+        (["sweep", "{table}", _LLAMA, "volume", "--start", "1000000", "--stop", "50000000",
+          "--step", "1000000"], 0),
+        (["sweep", "{table}", _GPT, "opex_rate", "--start", "0.001", "--stop", "0.02",
+          "--step", "0.001"], 0),
+        (["sweep", "{table}", _LLAMA, "capex_multiplier", "--start", "0.5", "--stop", "1.5",
+          "--step", "0.1"], 0),
+        (["breakeven", "{table}", _LLAMA, _GPT], 0),
+        (["breakeven", "{pair}", "full", "api"], 0),
+        (["ingest", "{bad_log}"], 0),
+        (["--strict", "ingest", "{log}"], 0),
+        (["breakeven", "{table}", _LLAMA, _GPT, "--search-max", "0"], 1),
+        (["compute", "{table}", "missing"], 2),
+        (["table", "{zero}x"], 2),
+        (["compute", "{zero}", "idle"], 3),
+        (["table", "{malformed}"], 4),
+        (["table", "{bad_field}"], 4),
+        (["--strict", "ingest", "{bad_log}"], 4),
+    ], ids=["table", "table-csv", "compute", "baseline", "finetune", "sweep-volume",
+            "sweep-opex_rate", "sweep-capex_multiplier", "breakeven-closed-form",
+            "breakeven-bisection", "ingest", "ingest-strict", "exit-1", "exit-2-name",
+            "exit-2-file", "exit-3", "exit-4-json", "exit-4-field", "exit-4-log"])
+    def test_no_command_leaves_cyclic_garbage(self, argv, code, gc_inputs, paused_gc, capsys):
+        assert main([arg.format(**gc_inputs) for arg in argv]) == code
+        capsys.readouterr()
+        assert gc.collect() == 0
+
+    def test_the_bisection_case_is_not_the_closed_form(self, gc_inputs):
+        kernels = [CompiledScenario(s) for s in load_scenarios(gc_inputs["pair"])]
+        assert not all(kernel.equal_weights for kernel in kernels)
+
+    @pytest.mark.parametrize("small, large", [
+        (["table", "{table}", "extra"], ["table", "{table}", *["extra"] * 1_000]),
+        (["--bogus"], ["--bogus" + "x" * 10_000]),
+        (["table", "{table}", "--help"], ["table", "{large}", "--help"]),
+        (["--help"], ["--help", *["table"] * 1_000]),
+    ], ids=["usage-arguments", "usage-option", "help-file", "help-arguments"])
+    def test_argparse_exits_leave_a_count_that_does_not_grow(self, small, large, gc_inputs,
+                                                            paused_gc, capsys, tmp_path):
+        # the usage and --help exits build argparse formatters, whose
+        # cycles are argparse's own: a fixed count on each Python
+        path = tmp_path / "large.json"
+        doc = json.loads((FIXTURES / "table1.json").read_text())
+        doc["scenarios"] = [dict(doc["scenarios"][0], name=f"s{i}") for i in range(1_000)]
+        path.write_text(json.dumps(doc))
+        counts = []
+        for argv in (small, large):
+            main([arg.format(large=path, **gc_inputs) for arg in argv])
+            capsys.readouterr()
+            counts.append(gc.collect())
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv, code", [
+        (["table", "{table}"], 0),
+        (["compute"], 1),
+        (["breakeven", "{table}", _LLAMA, _GPT, "--search-max", "0"], 1),
+        (["compute", "{table}", "missing"], 2),
+        (["compute", "{zero}", "idle"], 3),
+        (["table", "{malformed}"], 4),
+        (["--help"], 0),
+    ], ids=["exit-0", "exit-1-usage", "exit-1-value", "exit-2", "exit-3", "exit-4", "help"])
+    def test_the_callers_setting_survives_every_exit(self, enabled, argv, code, gc_inputs,
+                                                     capsys):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert main([arg.format(**gc_inputs) for arg in argv]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_the_callers_setting_survives_a_handler_that_raises(self, enabled, monkeypatch):
+        def boom(args):
+            assert not gc.isenabled()  # paused while the command runs
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setattr(cli_report, "_cmd_table", boom)
+        parser = cli_report.build_parser()
+        monkeypatch.setattr(cli_report, "_shared_parser", lambda: parser)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(RuntimeError, match="handler failed"):
+                main(["table", _TABLE1])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 def _env(unbuffered: bool) -> dict:

@@ -6,11 +6,13 @@ Runs one fixed corpus of commands on every interpreter named in the
 and compares each case's stdout, stderr and exit code byte for byte with the
 first interpreter's. Every case runs from the repository root with
 ``PYTHONPATH=src`` and ``python -W error``: CLI cases as ``python -m lcoai``,
-the demos as scripts, and as ``-c`` code the README's library quick start
-and three scripts that print the ``lcoai`` modules that ``load_scenarios``,
+the demos as scripts, and as ``-c`` code the README's library quick start,
+three scripts that print the ``lcoai`` modules that ``load_scenarios``,
 ``parse_log`` and ``import lcoai.cli_report`` load, and ``dataclasses`` and
-``inspect`` if either is loaded. A warning that one interpreter raises (a
-deprecation, say) is then an error there, and so a difference.
+``inspect`` if either is loaded, and one that prints ``gc.isenabled()``
+after ``main(["table", ...])`` with the collector off and then on. A warning
+that one interpreter raises (a deprecation, say) is then an error there, and
+so a difference.
 The ``table`` cases run ``fixtures/table1.json`` with its scenarios in every
 order under three hash seeds, and must also print the same as each other.
 
@@ -46,6 +48,10 @@ _SCENARIO = {
 
 _PRINT_LOADED = ("import sys\nprint(*sorted(m for m in sys.modules if m.startswith('lcoai.')"
                  " or m in ('dataclasses', 'inspect')))\n")
+
+_GC_AFTER_MAIN = ("import gc\nfrom lcoai.cli_report import main\n"
+                  "for switch in (gc.disable, gc.enable):\n"
+                  f"    switch()\n    main(['table', {TABLE1!r}])\n    print(gc.isenabled())\n")
 
 _INFERENCE = '{"ts": "2025-01-01T00:00:01Z", "kind": "inference", "status": "ok"}\n'
 
@@ -114,6 +120,8 @@ def corpus(tmp: Path) -> list:
          ["-c", f"import lcoai\nwith open({TELEMETRY!r}, 'rb') as fh:\n"
                 f"    lcoai.parse_log(fh)\n{_PRINT_LOADED}"]),
         ("modules loaded by the CLI module", ["-c", f"import lcoai.cli_report\n{_PRINT_LOADED}"]),
+        # main() pauses the collector and gives the caller back its setting
+        ("collector setting after main", ["-c", _GC_AFTER_MAIN]),
     ]
     cases += [(f"demo {demo.stem}", [str(demo.relative_to(ROOT))])
               for demo in sorted((ROOT / "demos").glob("*.py"))]

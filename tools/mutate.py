@@ -161,6 +161,13 @@ MUTANTS = (
            ("tests/test_cost_core.py::TestComputeLcoai::"
             "test_repr_holds_for_an_exact_value_too_long_to_print",),
            "the repr of a result leaves out its exact value, which may be too long to print"),
+    Mutant(_CORE, "set_name, set_capex, set_opex, set_volume, set_horizon, set_discount = ",
+           "set_name, set_capex, set_opex, set_horizon, set_volume, set_discount = ",
+           ("tests/test_values.py",), "each scenario field is stored through its own slot"),
+    # the collector pause of a command
+    Mutant(_CLI, "            gc.enable()\n", "            gc.disable()\n",
+           ("tests/test_cli.py::TestCyclicGc",),
+           "a command gives the caller back a collector that was on"),
     # the one integer rule
     Mutant(_CORE, "isinstance(value, int) and not isinstance(value, bool)",
            "isinstance(value, int)", ("tests/test_money.py", "tests/test_cost_core.py"),
